@@ -29,20 +29,27 @@ Event-loop representation
 The heap holds plain ``(time, seq, kind, payload)`` tuples — kind is a
 small int — so ordering compares run in C instead of a dataclass
 ``__lt__`` (which dominated the old profile at >500k calls per run).
-Fault-free runs additionally take a *batched* fast path: each binding's
-routed plan is precompiled once into per-phase request columns
-(:class:`_PhaseColumns` — service times, network deltas, byte totals,
-merge cost), a phase's requests are issued in one pass over those
-columns, and the phase's ``m`` response events collapse into a single
-``_PHASE_SETTLED`` event at the lexicographically-last ``(time, seq)``
-of the would-be responses.  Intermediate response events have no side
-effects (they only decrement an outstanding counter), and the collapsed
-event consumes all ``m`` sequence numbers, so the heap's tie-breaking,
-the sampler's tick boundaries, and every float accumulation order are
-*identical* to the scalar loop — ``repro.database._reference`` plus
-``tests/test_substrate_equivalence.py`` hold the fast path to
-byte-identical results.  Faulty runs keep the scalar per-request path
-verbatim (the ChaosHarness same-arithmetic-in-the-same-order contract).
+Each binding is planned, routed and compiled once per simulation into
+per-phase request rows (:class:`_QueryColumns` — worker, reads, service
+time, network delta), and one loop serves fault-free and faulted runs
+alike.  A request's outcome is known when it is issued: the FIFO server
+clock gives its response time, and under faults a request to a crashed
+worker, or one dropped on the wire, becomes a ``_TIMEOUT`` deadline
+instead.  Response events have no side effect but counting the phase
+down, so the responders of one issue — a phase, or one retried request
+— collapse into a single ``_SETTLED`` event at their lexicographically
+last ``(time, seq)``; that event consumes all their sequence numbers,
+while timeouts and retries keep their own events.  Whichever settle
+comes last charges the coordinator merge for the responses that
+actually arrived.  The heap's tie-breaking, the sampler's tick
+boundaries and every float accumulation order are therefore
+*identical* to the scalar per-response loop —
+``repro.database._reference`` plus
+``tests/test_substrate_equivalence.py`` hold this loop to
+byte-identical results, faulted runs included.  The fault hooks are
+per-request branches guarded by ``faulty``, so a run with the empty
+schedule does the arithmetic of one without fault injection (the
+ChaosHarness invariant).
 """
 
 from __future__ import annotations
@@ -80,12 +87,11 @@ BYTES_PER_REMOTE_REQUEST = 256.0
 # ``seq`` is unique so the kind int never participates in ordering.
 _START = 0
 _PHASE_DONE = 1
-_PHASE_SETTLED = 2  # fast path: a whole phase's responses, collapsed
-_RESPONSE = 3
-_TIMEOUT = 4
-_RETRY = 5
-_BACKGROUND = 6
-_ABORT = 7
+_SETTLED = 2  # the responses of one issue, collapsed
+_TIMEOUT = 3
+_RETRY = 4
+_BACKGROUND = 5
+_ABORT = 6
 
 
 @dataclass
@@ -181,95 +187,48 @@ class SimulationResult:
         return self.vertices_read_per_worker
 
 
-class _QueryState:
-    """Progress of one in-flight query (scalar/faulty path)."""
+class _QueryColumns:
+    """A binding's routed query, compiled once per simulation.
 
-    __slots__ = ("routed", "client", "phase", "outstanding", "received",
-                 "started", "phase_ready", "coordinator", "failed", "span",
-                 "hop_span")
-
-    def __init__(self, routed: RoutedQuery, client: int, started: float):
-        self.routed = routed
-        self.client = client
-        self.phase = 0
-        self.outstanding = 0
-        #: Responses that actually arrived this phase — the merge below
-        #: may only charge for these, not the planned fan-out.
-        self.received = 0
-        self.started = started
-        self.phase_ready = started
-        #: Effective coordinator — the routed primary unless it was down
-        #: at query start and a replica took over.
-        self.coordinator = routed.coordinator
-        #: Set when any request of this query exhausted its retry budget.
-        self.failed = False
-        #: Open telemetry span ids (0 = tracing disabled).
-        self.span = 0
-        self.hop_span = 0
-
-
-class _Request:
-    """One storage request in flight, tracked for timeout/retry."""
-
-    __slots__ = ("state", "primary", "reads", "attempt")
-
-    def __init__(self, state: _QueryState, primary: int, reads: int,
-                 attempt: int):
-        self.state = state
-        self.primary = primary
-        self.reads = reads
-        self.attempt = attempt
-
-
-class _PhaseColumns:
-    """One routed phase, precompiled for the batched fast path.
-
-    ``rows`` holds one ``(worker, reads, service_seconds, net_delta,
-    remote)`` tuple per request — every float computed by the *same
-    expression* the scalar path uses (``model.service_seconds(reads) /
-    worker.speed``; half-RTT network delta), so issuing from the columns
-    reproduces the scalar arithmetic bit for bit.  ``route_plan`` groups
-    a phase's reads by distinct owner, so the workers in ``rows`` are
-    pairwise distinct — which is what lets a whole phase issue in one
-    pass without intra-phase queue interactions.
+    ``phases`` holds one tuple of ``(worker, reads, service_seconds,
+    net_delta, remote)`` rows per routed phase — every float computed by
+    the *same expression* as the per-request reference loop
+    (``model.service_seconds(reads) / worker.speed``; the half-RTT network
+    delta to the routed coordinator), so issuing from the rows reproduces
+    its arithmetic bit for bit.  ``route_plan`` groups a phase's reads by distinct owner, so
+    the workers of one phase are pairwise distinct — which is what lets a
+    whole phase issue in one pass without intra-phase queue interactions.
     """
 
-    __slots__ = ("rows", "fanout", "total_reads", "remote_reads",
-                 "wire_bytes", "merge_seconds")
+    __slots__ = ("routed", "phases")
 
-    def __init__(self, rows: tuple, fanout: int, total_reads: int,
-                 remote_reads: int, wire_bytes: float,
-                 merge_seconds: float):
-        self.rows = rows
-        self.fanout = fanout
-        self.total_reads = total_reads
-        self.remote_reads = remote_reads
-        self.wire_bytes = wire_bytes
-        self.merge_seconds = merge_seconds
-
-
-class _QueryColumns:
-    """A routed query's phases in column form, cached per binding."""
-
-    __slots__ = ("kind", "coordinator", "phases", "num_phases")
-
-    def __init__(self, kind: str, coordinator: int, phases: tuple):
-        self.kind = kind
-        self.coordinator = coordinator
+    def __init__(self, routed: RoutedQuery, phases: tuple):
+        self.routed = routed
         self.phases = phases
-        self.num_phases = len(phases)
 
 
-class _FastQuery:
-    """Progress of one in-flight query (fault-free fast path)."""
+class _Query:
+    """Progress of one in-flight query."""
 
-    __slots__ = ("cols", "client", "phase", "started", "span", "hop_span")
+    __slots__ = ("cols", "client", "phase", "started", "coordinator",
+                 "outstanding", "received", "failed", "span", "hop_span")
 
     def __init__(self, cols: _QueryColumns, client: int, started: float):
         self.cols = cols
         self.client = client
         self.phase = 0
         self.started = started
+        #: Effective coordinator — the routed primary unless it was down
+        #: at query start and a replica took over.
+        self.coordinator = cols.routed.coordinator
+        #: Requests of the current phase not yet settled.
+        self.outstanding = 0
+        #: Responses that actually arrived this phase — the merge may only
+        #: charge for these, not the planned fan-out.
+        self.received = 0
+        #: Set when any request of this query exhausted its retry budget.
+        self.failed = False
+        #: Open telemetry span ids (0 = tracing disabled).
         self.span = 0
         self.hop_span = 0
 
@@ -335,58 +294,30 @@ class ClosedLoopSimulation:
         self.replica_map = ReplicaMap(num_workers,
                                       max(1, min(k_safety, num_workers)))
         self.raise_on_failure = raise_on_failure
-        self._plan_cache: dict[tuple, RoutedQuery] = {}
         # Worker speeds and the (scaled) service model are fixed at
         # construction, so compiled columns stay valid across runs.
         self._columns_cache: dict[tuple, _QueryColumns] = {}
 
     # ------------------------------------------------------------------
-    def _routed(self, binding: QueryBinding) -> RoutedQuery:
+    def _columns(self, binding: QueryBinding) -> _QueryColumns:
+        """Plan, route and compile *binding* (cached per binding)."""
         key = (binding.kind, binding.start_vertex, binding.target_vertex)
-        cached = self._plan_cache.get(key)
+        cached = self._columns_cache.get(key)
         if cached is None:
             plan = plan_query(self.graph, binding.kind, binding.start_vertex,
                               target_vertex=binding.target_vertex,
                               fanout_limit=self.fanout_limit)
-            cached = route_plan(plan, self.owner)
-            self._plan_cache[key] = cached
-        return cached
-
-    def _columns(self, binding: QueryBinding) -> _QueryColumns:
-        """Compile *binding*'s routed plan into fast-path columns."""
-        key = (binding.kind, binding.start_vertex, binding.target_vertex)
-        cached = self._columns_cache.get(key)
-        if cached is None:
-            routed = self._routed(binding)
-            model = self.cluster.model
+            routed = route_plan(plan, self.owner)
             workers = self.cluster.workers
-            half_rtt = model.network_rtt_seconds / 2
+            half_rtt = self.cluster.model.network_rtt_seconds / 2
             coordinator = routed.coordinator
-            coord_speed = workers[coordinator].speed
-            phases = []
-            for phase in routed.phases:
-                rows = []
-                total_reads = 0
-                remote_reads = 0
-                wire_bytes = 0.0
-                for worker_id, reads in phase.requests:
-                    remote = worker_id != coordinator
-                    service = (model.service_seconds(reads)
-                               / workers[worker_id].speed)
-                    rows.append((worker_id, reads, service,
-                                 half_rtt if remote else 0.0, remote))
-                    total_reads += reads
-                    if remote:
-                        remote_reads += reads
-                        wire_bytes += (BYTES_PER_REMOTE_REQUEST
-                                       + reads * BYTES_PER_VERTEX_RECORD)
-                merge = (model.coordinator_overhead_seconds
-                         + len(rows) * model.per_response_seconds) \
-                    / coord_speed
-                phases.append(_PhaseColumns(tuple(rows), len(rows),
-                                            total_reads, remote_reads,
-                                            wire_bytes, merge))
-            cached = _QueryColumns(routed.kind, coordinator, tuple(phases))
+            cached = _QueryColumns(routed, tuple(
+                tuple((worker_id, reads,
+                       workers[worker_id].service_seconds(reads),
+                       half_rtt if worker_id != coordinator else 0.0,
+                       worker_id != coordinator)
+                      for worker_id, reads in phase.requests)
+                for phase in routed.phases))
             self._columns_cache[key] = cached
         return cached
 
@@ -402,7 +333,8 @@ class ClosedLoopSimulation:
 
         Clients cycle through *bindings* at staggered offsets, so every
         algorithm under comparison serves the same query sequence.
-        Metrics cover completions after ``warmup_fraction * duration``.
+        Metrics cover completions after ``warmup_fraction * duration``
+        (``0 <= warmup_fraction < 1``).
 
         The three optional knobs model an in-flight partition migration
         (see :mod:`repro.service`) and are **exact no-ops** when left at
@@ -431,6 +363,9 @@ class ClosedLoopSimulation:
             raise ConfigurationError("bindings must be non-empty")
         if duration <= 0:
             raise ConfigurationError("duration must be positive")
+        if not 0 <= warmup_fraction < 1:
+            raise ConfigurationError(
+                f"warmup_fraction must be in [0, 1), got {warmup_fraction}")
         if migration_wait_seconds < 0:
             raise ConfigurationError("migration_wait_seconds must be >= 0")
         migrating = None
@@ -448,10 +383,15 @@ class ClosedLoopSimulation:
         #: existed (the ChaosHarness invariant).
         faulty = not schedule.is_empty
         router = FailoverRouter(self.replica_map, schedule)
+        workers = self.cluster.workers
         num_workers = self.cluster.num_workers
         num_clients = self.clients_per_worker * num_workers
         warmup = duration * warmup_fraction
         think = model.think_seconds
+        half_rtt = model.network_rtt_seconds / 2
+        extra = schedule.extra_latency_seconds
+        overhead = model.coordinator_overhead_seconds
+        per_response = model.per_response_seconds
         tracer = get_tracer()
         tracing = tracer.enabled
 
@@ -501,19 +441,6 @@ class ClosedLoopSimulation:
             clients_per_worker=self.clients_per_worker,
             duration=duration) if tracing else 0
 
-        # Fast-path worker state: the FIFO-server clock and the per-run
-        # stat accumulators live in plain lists (folded back into
-        # ``Worker.stats`` after the loop).  Each worker's values see the
-        # same additions in the same event order as the scalar path, so
-        # the folded totals are bit-identical.
-        fast = not faulty
-        workers = self.cluster.workers
-        busy = [0.0] * num_workers
-        st_requests = [0] * num_workers
-        st_reads = [0] * num_workers
-        st_busy = [0.0] * num_workers
-        st_remote = [0] * num_workers
-
         def push(time: float, kind: int, payload) -> None:
             heappush(events, (time, next_seq(), kind, payload))
 
@@ -522,11 +449,11 @@ class ClosedLoopSimulation:
             binding_cursor[client] = (index + 1) % len(bindings)
             return bindings[index]
 
-        # -- fault-free fast path ---------------------------------------
-        def start_query_fast(client: int, now: float) -> None:
+        def start_query(client: int, now: float) -> None:
             binding = next_binding(client)
             cols = self._columns(binding)
-            fq = _FastQuery(cols, client, now)
+            routed = cols.routed
+            q = _Query(cols, client, now)
             if migrating is not None and binding.start_vertex in migrating:
                 # The start vertex is mid-migration (double-homed): the
                 # client's first request races the ownership handshake and
@@ -534,55 +461,123 @@ class ClosedLoopSimulation:
                 # once per query, at start — migration delays reads, it
                 # never drops them.
                 c_migration_waits.inc()
-                ready = now + migration_wait_seconds
                 if tracing:
                     tracer.point("db.migration.wait", now, parent=root_span,
                                  vertex=binding.start_vertex, client=client)
-                now = ready
+                now += migration_wait_seconds
             if tracing:
-                fq.span = tracer.begin(
-                    "db.query", now, parent=root_span, kind=cols.kind,
-                    client=client, coordinator=cols.coordinator)
-                tracer.point("db.route", now, parent=fq.span,
-                             coordinator=cols.coordinator,
-                             phases=cols.num_phases)
-            issue_phase_fast(fq, now)
+                q.span = tracer.begin(
+                    "db.query", now, parent=root_span, kind=routed.kind,
+                    client=client, coordinator=routed.coordinator)
+                tracer.point("db.route", now, parent=q.span,
+                             coordinator=routed.coordinator,
+                             phases=len(routed.phases))
+            if faulty:
+                coordinator = router.coordinator(routed, now)
+                if coordinator is None:
+                    # The start vertex's whole replica chain is down: the
+                    # client cannot even open a session; it observes one
+                    # timeout deadline and gives the query up.
+                    if self.raise_on_failure:
+                        raise WorkerFailedError(
+                            f"entire replica chain of worker "
+                            f"{routed.coordinator} is down at t={now:.4f}s")
+                    q.failed = True
+                    push(now + policy.timeout_seconds, _ABORT, q)
+                    return
+                if tracing and coordinator != routed.coordinator:
+                    tracer.point("db.failover", now, parent=q.span,
+                                 kind="coordinator",
+                                 primary=routed.coordinator,
+                                 replica=coordinator)
+                q.coordinator = coordinator
+            issue_phase(q, now)
 
-        def issue_phase_fast(fq: _FastQuery, now: float) -> None:
-            cols = fq.cols
-            phase = fq.phase
-            while phase < cols.num_phases \
-                    and cols.phases[phase].fanout == 0:
+        def issue_phase(q: _Query, now: float) -> None:
+            phases = q.cols.phases
+            phase = q.phase
+            while phase < len(phases) and not phases[phase]:
                 phase += 1
-            fq.phase = phase
-            if phase >= cols.num_phases:
-                finish_query_fast(fq, now)
+            q.phase = phase
+            if phase == len(phases):
+                end_query(q, now)
                 return
-            pcols = cols.phases[phase]
+            rows = phases[phase]
+            q.outstanding = len(rows)
+            q.received = 0
             if tracing:
-                fq.hop_span = tracer.begin(
-                    "db.hop", now, parent=fq.span, phase=phase,
-                    fanout=pcols.fanout)
-            # One pass over the phase's precompiled request columns.  The
-            # workers are pairwise distinct (route_plan groups by owner),
-            # so each request sees the server clock exactly as the scalar
-            # loop would.  The phase's m response events collapse into one
-            # _PHASE_SETTLED event at the last (time, seq); the m sequence
-            # numbers are still consumed so heap tie-breaking downstream
-            # is unchanged.
+                q.hop_span = tracer.begin(
+                    "db.hop", now, parent=q.span, phase=phase,
+                    fanout=len(rows))
+            issue(q, rows, 0, now)
+
+        def issue(q: _Query, rows: tuple, attempt: int, now: float) -> None:
+            """Issue *rows* — a phase, or one retried request — and push
+            one ``_SETTLED`` event for the responders (module docstring).
+            """
+            coordinator = q.coordinator
             best_time = -1.0
             best_seq = 0
-            for worker_id, reads, service, delta, remote in pcols.rows:
+            lost = 0
+            total_reads = 0
+            remote_reads = 0
+            remote_requests = 0
+            for row in rows:
+                target, reads, service, delta, remote = row
                 arrival = now + delta
-                server = busy[worker_id]
+                if faulty:
+                    # Failover: attempt n goes to replica n of the row's
+                    # primary owner (attempt 0 is the primary itself).
+                    primary = target
+                    target = router.target(primary, attempt)
+                    if target != primary:
+                        service = workers[target].service_seconds(reads)
+                        if tracing:
+                            tracer.point("db.failover", now,
+                                         parent=q.hop_span, kind="request",
+                                         primary=primary, replica=target,
+                                         attempt=attempt)
+                    remote = target != coordinator
+                    delta = half_rtt + extra if remote else 0.0
+                    arrival = now + delta
+                    request_id = next(request_ids)
+                    if schedule.is_crashed(target, arrival):
+                        reason = "crashed"
+                    elif schedule.should_drop(request_id):
+                        reason = "dropped"
+                        c_dropped.inc()
+                    else:
+                        reason = ""
+                    if reason:
+                        # No response will ever come; the client discovers
+                        # the loss only through its timeout deadline.
+                        workers[target].stats.requests_lost += 1
+                        if tracing:
+                            tracer.point("db.request.lost", now,
+                                         parent=q.hop_span, worker=target,
+                                         reads=reads, attempt=attempt,
+                                         reason=reason)
+                        push(now + policy.timeout_seconds, _TIMEOUT,
+                             (q, row, attempt))
+                        lost += 1
+                        continue
+                    factor = schedule.speed_factor(target, arrival)
+                    if factor != 1.0:
+                        service = service / factor
+                worker = workers[target]
+                server = worker.busy_until
                 begin = arrival if arrival > server else server
                 completion = begin + service
-                busy[worker_id] = completion
-                st_requests[worker_id] += 1
-                st_reads[worker_id] += reads
-                st_busy[worker_id] += service
+                worker.busy_until = completion
+                stats = worker.stats
+                stats.requests_served += 1
+                stats.vertices_read += reads
+                stats.busy_seconds += service
+                total_reads += reads
                 if remote:
-                    st_remote[worker_id] += 1
+                    stats.remote_requests += 1
+                    remote_reads += reads
+                    remote_requests += 1
                 response = completion + delta
                 seq = next_seq()
                 if response >= best_time:
@@ -592,219 +587,34 @@ class ClosedLoopSimulation:
                     # The request's whole life is known analytically here,
                     # so the span is recorded at once: queueing is
                     # begin-arrival, service is completion-begin.
-                    rid = tracer.begin("db.request", now,
-                                       parent=fq.hop_span,
-                                       worker=worker_id, reads=reads,
-                                       attempt=0, remote=remote,
+                    rid = tracer.begin("db.request", now, parent=q.hop_span,
+                                       worker=target, reads=reads,
+                                       attempt=attempt, remote=remote,
                                        queue_seconds=begin - arrival,
                                        service_seconds=service)
                     tracer.end(rid, response)
-            c_total.inc(pcols.total_reads)
-            if pcols.remote_reads:
-                c_remote.inc(pcols.remote_reads)
-                c_bytes.inc(pcols.wire_bytes)
-            heappush(events, (best_time, best_seq, _PHASE_SETTLED, fq))
+            # Byte totals are sums of integral floats, so charging them
+            # per issue instead of per request is exact.
+            c_total.inc(total_reads)
+            if remote_requests:
+                c_remote.inc(remote_reads)
+                c_bytes.inc(remote_requests * BYTES_PER_REMOTE_REQUEST
+                            + remote_reads * BYTES_PER_VERTEX_RECORD)
+            if lost < len(rows):
+                heappush(events, (best_time, best_seq, _SETTLED,
+                                  (q, len(rows) - lost)))
 
-        def on_phase_settled(fq: _FastQuery, now: float) -> None:
-            # Merge the phase's responses on the coordinator: this
-            # occupies the coordinating worker's server, so hot
-            # coordinators queue up and wide fan-out costs CPU.
-            pcols = fq.cols.phases[fq.phase]
-            coordinator = fq.cols.coordinator
-            merge = pcols.merge_seconds
-            server = busy[coordinator]
-            begin = now if now > server else server
-            done = begin + merge
-            busy[coordinator] = done
-            st_busy[coordinator] += merge
-            if tracing:
-                tracer.end(fq.hop_span, done, status="ok",
-                           merge_seconds=merge)
-            fq.phase += 1
-            heappush(events, (done, next_seq(), _PHASE_DONE, fq))
-
-        def finish_query_fast(fq: _FastQuery, now: float) -> None:
-            if now >= warmup:
-                latencies.append(now - fq.started)
-                c_completed.inc()
-            if tracing:
-                tracer.end(fq.span, now, status="ok",
-                           latency_seconds=now - fq.started)
-            if now < duration:
-                heappush(events, (now + think, next_seq(), _START,
-                                  fq.client))
-
-        def on_background_fast(payload, now: float) -> None:
-            worker_id, seconds = payload
-            server = busy[worker_id]
-            begin = now if now > server else server
-            busy[worker_id] = begin + seconds
-            st_busy[worker_id] += seconds
-            stats = workers[worker_id].stats
-            stats.migration_seconds += seconds
-            stats.migration_batches += 1
-            c_migration_busy.inc(seconds)
-            if tracing:
-                tracer.point("db.migration.batch", now, parent=root_span,
-                             worker=worker_id, seconds=seconds)
-
-        # -- scalar path (fault injection active) -----------------------
-        def start_query(client: int, now: float) -> None:
-            binding = next_binding(client)
-            routed = self._routed(binding)
-            state = _QueryState(routed, client, now)
-            if migrating is not None and binding.start_vertex in migrating:
-                c_migration_waits.inc()
-                state.phase_ready = now + migration_wait_seconds
+        def settle(q: _Query, now: float, settled: int, arrived: int) -> None:
+            """Count *settled* requests of the phase down, *arrived* of
+            them with a response; the last settle ends the phase."""
+            q.received += arrived
+            q.outstanding -= settled
+            if q.outstanding:
+                return
+            if q.failed:
                 if tracing:
-                    tracer.point("db.migration.wait", now, parent=root_span,
-                                 vertex=binding.start_vertex, client=client)
-                now = state.phase_ready
-            if tracing:
-                state.span = tracer.begin(
-                    "db.query", now, parent=root_span, kind=routed.kind,
-                    client=client, coordinator=routed.coordinator)
-                tracer.point("db.route", now, parent=state.span,
-                             coordinator=routed.coordinator,
-                             phases=len(routed.phases))
-            coordinator = router.coordinator(routed, now)
-            if coordinator is None:
-                # The start vertex's whole replica chain is down: the
-                # client cannot even open a session; it observes one
-                # timeout deadline and gives the query up.
-                if self.raise_on_failure:
-                    raise WorkerFailedError(
-                        f"entire replica chain of worker "
-                        f"{routed.coordinator} is down at t={now:.4f}s")
-                state.failed = True
-                push(now + policy.timeout_seconds, _ABORT, state)
-                return
-            if tracing and coordinator != routed.coordinator:
-                tracer.point("db.failover", now, parent=state.span,
-                             kind="coordinator",
-                             primary=routed.coordinator,
-                             replica=coordinator)
-            state.coordinator = coordinator
-            issue_phase(state, now)
-
-        def issue_phase(state: _QueryState, now: float) -> None:
-            routed = state.routed
-            if state.phase >= len(routed.phases):
-                finish_query(state, now)
-                return
-            requests = routed.phases[state.phase].requests
-            if not requests:
-                state.phase += 1
-                issue_phase(state, now)
-                return
-            state.outstanding = len(requests)
-            state.received = 0
-            if tracing:
-                state.hop_span = tracer.begin(
-                    "db.hop", now, parent=state.span, phase=state.phase,
-                    fanout=len(requests))
-            for worker_id, reads in requests:
-                issue_request(state, worker_id, reads, now, 0)
-
-        def issue_request(state: _QueryState, primary: int, reads: int,
-                          now: float, attempt: int) -> None:
-            target = router.target(primary, attempt)
-            worker = workers[target]
-            remote = target != state.coordinator
-            extra = schedule.extra_latency_seconds if remote else 0.0
-            arrival = now + (model.network_rtt_seconds / 2 + extra
-                             if remote else 0.0)
-            if tracing and attempt > 0 and target != primary:
-                tracer.point("db.failover", now, parent=state.hop_span,
-                             kind="request", primary=primary,
-                             replica=target, attempt=attempt)
-            request_id = next(request_ids)
-            if schedule.is_crashed(target, arrival):
-                # The request reaches a dead machine: no response will
-                # ever come; the client discovers this only through
-                # its timeout deadline.
-                worker.stats.requests_lost += 1
-                if tracing:
-                    tracer.point("db.request.lost", now,
-                                 parent=state.hop_span, worker=target,
-                                 reads=reads, attempt=attempt,
-                                 reason="crashed")
-                push(now + policy.timeout_seconds, _TIMEOUT,
-                     _Request(state, primary, reads, attempt))
-                return
-            if schedule.should_drop(request_id):
-                c_dropped.inc()
-                worker.stats.requests_lost += 1
-                if tracing:
-                    tracer.point("db.request.lost", now,
-                                 parent=state.hop_span, worker=target,
-                                 reads=reads, attempt=attempt,
-                                 reason="dropped")
-                push(now + policy.timeout_seconds, _TIMEOUT,
-                     _Request(state, primary, reads, attempt))
-                return
-            service = worker.service_seconds(reads)
-            factor = schedule.speed_factor(target, arrival)
-            if factor != 1.0:
-                service = service / factor
-            begin = max(arrival, worker.busy_until)
-            completion = begin + service
-            worker.busy_until = completion
-            worker.stats.requests_served += 1
-            worker.stats.vertices_read += reads
-            worker.stats.busy_seconds += service
-            c_total.inc(reads)
-            if remote:
-                worker.stats.remote_requests += 1
-                c_remote.inc(reads)
-                c_bytes.inc(BYTES_PER_REMOTE_REQUEST
-                            + reads * BYTES_PER_VERTEX_RECORD)
-            response = completion + (model.network_rtt_seconds / 2 + extra
-                                     if remote else 0.0)
-            if tracing:
-                rid = tracer.begin("db.request", now, parent=state.hop_span,
-                                   worker=target, reads=reads,
-                                   attempt=attempt, remote=remote,
-                                   queue_seconds=begin - arrival,
-                                   service_seconds=service)
-                tracer.end(rid, response)
-            push(response, _RESPONSE, state)
-
-        def finish_query(state: _QueryState, now: float) -> None:
-            if now >= warmup:
-                latencies.append(now - state.started)
-                c_completed.inc()
-            if tracing:
-                tracer.end(state.span, now, status="ok",
-                           latency_seconds=now - state.started)
-            if now < duration:
-                push(now + think, _START, state.client)
-
-        def fail_query(state: _QueryState, now: float) -> None:
-            if self.raise_on_failure:
-                raise QueryTimeoutError(
-                    f"{state.routed.kind} query of client {state.client} "
-                    f"exhausted its {policy.max_retries}-retry budget at "
-                    f"t={now:.4f}s")
-            if now >= warmup:
-                c_failed.inc()
-            if tracing:
-                tracer.end(state.span, now, status="failed",
-                           latency_seconds=now - state.started)
-            if now < duration:
-                push(now + think, _START, state.client)
-
-        def request_settled(state: _QueryState, now: float,
-                            responded: bool) -> None:
-            if responded:
-                state.received += 1
-            state.outstanding -= 1
-            if state.outstanding != 0:
-                return
-            if state.failed:
-                if tracing:
-                    tracer.end(state.hop_span, now, status="failed")
-                fail_query(state, now)
+                    tracer.end(q.hop_span, now, status="failed")
+                end_query(q, now)
                 return
             # Merge the phase's responses on the coordinator: this
             # occupies the coordinating worker's server, so hot
@@ -815,53 +625,58 @@ class ClosedLoopSimulation:
             # settle either retries, which produces a response later, or
             # marks the query failed, which skips the merge — so this is
             # accounting hygiene, not a behaviour change.)
-            coordinator = workers[state.coordinator]
-            responses = state.received
-            merge = (model.coordinator_overhead_seconds
-                     + responses * model.per_response_seconds) \
-                / coordinator.speed
-            begin = max(now, coordinator.busy_until)
+            worker = workers[q.coordinator]
+            merge = (overhead + q.received * per_response) / worker.speed
+            server = worker.busy_until
+            begin = now if now > server else server
             done = begin + merge
-            coordinator.busy_until = done
-            coordinator.stats.busy_seconds += merge
+            worker.busy_until = done
+            worker.stats.busy_seconds += merge
             if tracing:
-                tracer.end(state.hop_span, done, status="ok",
-                           merge_seconds=merge)
-            state.phase += 1
-            push(done, _PHASE_DONE, state)
+                tracer.end(q.hop_span, done, status="ok", merge_seconds=merge)
+            q.phase += 1
+            heappush(events, (done, next_seq(), _PHASE_DONE, q))
 
-        def on_timeout(request: _Request, now: float) -> None:
+        def end_query(q: _Query, now: float) -> None:
+            failed = q.failed
+            if failed and self.raise_on_failure:
+                raise QueryTimeoutError(
+                    f"{q.cols.routed.kind} query of client {q.client} "
+                    f"exhausted its {policy.max_retries}-retry budget at "
+                    f"t={now:.4f}s")
+            if now >= warmup:
+                if failed:
+                    c_failed.inc()
+                else:
+                    latencies.append(now - q.started)
+                    c_completed.inc()
+            if tracing:
+                tracer.end(q.span, now, status="failed" if failed else "ok",
+                           latency_seconds=now - q.started)
+            if now < duration:
+                heappush(events, (now + think, next_seq(), _START, q.client))
+
+        def on_timeout(q: _Query, row: tuple, attempt: int,
+                       now: float) -> None:
             c_timeouts.inc()
             if tracing:
-                tracer.point("db.timeout", now,
-                             parent=request.state.hop_span,
-                             worker=request.primary,
-                             attempt=request.attempt)
-            if request.state.failed:
-                # The query already failed on another request: don't burn
-                # retries on it, just settle this one.
-                request_settled(request.state, now, False)
-                return
-            if request.attempt < policy.max_retries:
-                c_retries.inc()
-                delay = policy.backoff_seconds(
-                    request.attempt, schedule.jitter(next(retry_ids)))
-                if tracing:
-                    tracer.point("db.retry", now,
-                                 parent=request.state.hop_span,
-                                 worker=request.primary,
-                                 attempt=request.attempt,
-                                 delay_seconds=delay)
-                request.attempt += 1
-                push(now + delay, _RETRY, request)
-                return
-            request.state.failed = True
-            request_settled(request.state, now, False)
-
-        def on_retry(request: _Request, now: float) -> None:
-            # Failover: attempt n goes to replica n of the primary owner.
-            issue_request(request.state, request.primary, request.reads,
-                          now, request.attempt)
+                tracer.point("db.timeout", now, parent=q.hop_span,
+                             worker=row[0], attempt=attempt)
+            if not q.failed:
+                if attempt < policy.max_retries:
+                    c_retries.inc()
+                    delay = policy.backoff_seconds(
+                        attempt, schedule.jitter(next(retry_ids)))
+                    if tracing:
+                        tracer.point("db.retry", now, parent=q.hop_span,
+                                     worker=row[0], attempt=attempt,
+                                     delay_seconds=delay)
+                    push(now + delay, _RETRY, (q, row, attempt + 1))
+                    return
+                q.failed = True
+            # Out of retries — or the query already failed on another
+            # request, so none are burnt on it: just settle this one.
+            settle(q, now, 1, 0)
 
         def on_background(payload, now: float) -> None:
             # A migration batch occupies the worker's FIFO server like any
@@ -869,19 +684,17 @@ class ClosedLoopSimulation:
             # honest latency price of shipping vertex state.
             worker_id, seconds = payload
             worker = workers[worker_id]
-            begin = max(now, worker.busy_until)
+            server = worker.busy_until
+            begin = now if now > server else server
             worker.busy_until = begin + seconds
-            worker.stats.busy_seconds += seconds
-            worker.stats.migration_seconds += seconds
-            worker.stats.migration_batches += 1
+            stats = worker.stats
+            stats.busy_seconds += seconds
+            stats.migration_seconds += seconds
+            stats.migration_batches += 1
             c_migration_busy.inc(seconds)
             if tracing:
                 tracer.point("db.migration.batch", now, parent=root_span,
                              worker=worker_id, seconds=seconds)
-
-        on_start = start_query_fast if fast else start_query
-        on_phase_advance = issue_phase_fast if fast else issue_phase
-        background_handler = on_background_fast if fast else on_background
 
         # Stagger client start-up across the first millisecond so the
         # initial burst does not synchronise queues artificially.
@@ -915,22 +728,22 @@ class ClosedLoopSimulation:
                     next_tick += tick
             if time_ > duration:
                 break
-            if kind == _PHASE_SETTLED:
-                on_phase_settled(payload, time_)
+            if kind == _SETTLED:
+                q, arrived = payload
+                settle(q, time_, arrived, arrived)
             elif kind == _PHASE_DONE:
-                on_phase_advance(payload, time_)
+                issue_phase(payload, time_)
             elif kind == _START:
-                on_start(payload, time_)
-            elif kind == _RESPONSE:
-                request_settled(payload, time_, True)
+                start_query(payload, time_)
             elif kind == _TIMEOUT:
-                on_timeout(payload, time_)
+                on_timeout(*payload, time_)
             elif kind == _RETRY:
-                on_retry(payload, time_)
+                q, row, attempt = payload
+                issue(q, (row,), attempt, time_)
             elif kind == _BACKGROUND:
-                background_handler(payload, time_)
+                on_background(payload, time_)
             else:  # _ABORT: the whole replica chain was down at start.
-                fail_query(payload, time_)
+                end_query(payload, time_)
 
         if sampling:
             # Drain the remaining tick grid: if the heap emptied (or the
@@ -944,18 +757,6 @@ class ClosedLoopSimulation:
                 sampler.sample(next_tick)
                 next_tick += tick
 
-        if fast:
-            # Fold the fast-path accumulators into the worker stats; each
-            # target starts at zero, so the fold adds nothing numerically
-            # (0.0 + x == x) and the totals carry the event-order chains.
-            for worker_id in range(num_workers):
-                stats = workers[worker_id].stats
-                worker = workers[worker_id]
-                worker.busy_until = busy[worker_id]
-                stats.requests_served += st_requests[worker_id]
-                stats.vertices_read += st_reads[worker_id]
-                stats.busy_seconds += st_busy[worker_id]
-                stats.remote_requests += st_remote[worker_id]
         metrics.histogram("db.query.latency_seconds").observe_many(latencies)
         metrics.histogram("db.worker.vertices_read").observe_many(
             w.stats.vertices_read for w in workers)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytics import Placement
+from repro.experiments.figures import MEDIUM_LOAD_CLIENTS
 from repro.experiments.report import ExperimentReport, Table
 from repro.experiments.runner import PARTITION_SEED, STREAM_ORDER, ExperimentContext
 from repro.metrics import edge_cut_ratio, partition_balance, replication_factor
@@ -258,14 +259,15 @@ def ablation_straggler(ctx: ExperimentContext | None = None,
     data = {}
     for algorithm in ("ecr", "ldg", "fennel", "mts"):
         healthy = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                 clients_per_worker=12)
+                                 clients_per_worker=MEDIUM_LOAD_CLIENTS)
         # Degrade the worker that serves the most reads — the worst case
         # the operator cares about.
         hot_worker = int(np.argmax(healthy.read_distribution()))
         speeds = [1.0] * num_workers
         speeds[hot_worker] = slow_factor
         degraded = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                  clients_per_worker=12, worker_speeds=speeds)
+                                  clients_per_worker=MEDIUM_LOAD_CLIENTS,
+                                  worker_speeds=speeds)
         h_p99 = healthy.latency().p99 * 1e3
         d_p99 = degraded.latency().p99 * 1e3
         data[algorithm] = (h_p99, d_p99)
@@ -339,9 +341,9 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
     online = {}
     for algorithm in ("ecr", "ldg", "fennel"):
         healthy = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                 clients_per_worker=12)
+                                 clients_per_worker=MEDIUM_LOAD_CLIENTS)
         faulted = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                 clients_per_worker=12,
+                                 clients_per_worker=MEDIUM_LOAD_CLIENTS,
                                  fault_schedule=schedule)
         online[algorithm] = {
             "availability": faulted.availability,

@@ -23,7 +23,9 @@ from repro.partitioning import (
 )
 from repro.partitioning.workload_aware import workload_aware_partition
 
+#: The offline analytics workloads run over every placement.
 OFFLINE_WORKLOADS = ("pagerank", "wcc", "sssp")
+#: Client counts of the two load scenarios (Section 6.3.2).
 MEDIUM_LOAD_CLIENTS = 12
 HIGH_LOAD_CLIENTS = 24
 

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 from repro.experiments.datasets import DATASETS, dataset_summary
+from repro.experiments.figures import HIGH_LOAD_CLIENTS, MEDIUM_LOAD_CLIENTS
 from repro.experiments.report import ExperimentReport, Table
 from repro.experiments.runner import ExperimentContext
 from repro.metrics import edge_cut_ratio
 from repro.partitioning import ONLINE_ALGORITHMS
-
-#: Client counts of the two load scenarios (Section 6.3.2).
-MEDIUM_LOAD_CLIENTS = 12
-HIGH_LOAD_CLIENTS = 24
 
 
 def table3(ctx: ExperimentContext | None = None) -> ExperimentReport:

@@ -39,13 +39,15 @@ from repro.experiments.datasets import (
     OFFLINE_DATASETS,
     scale_profile,
 )
+from repro.experiments.figures import (
+    HIGH_LOAD_CLIENTS,
+    MEDIUM_LOAD_CLIENTS,
+    OFFLINE_WORKLOADS,
+)
 from repro.partitioning import OFFLINE_ALGORITHMS, ONLINE_ALGORITHMS
 
 #: The dataset the online (database) experiments run on.
 ONLINE_DATASET = "ldbc-snb"
-#: Client counts of the paper's two load scenarios.
-MEDIUM_LOAD_CLIENTS = 12
-HIGH_LOAD_CLIENTS = 24
 
 #: Execution stage per job kind (drives the deterministic serial order).
 STAGE = {"dataset": 0, "partition": 1, "bindings": 1,
@@ -182,9 +184,6 @@ def _simulations(datasets, algorithms, ks, kinds, client_counts):
                             "kind": q, "clients": c})
             for d in datasets for a in algorithms for k in ks
             for q in kinds for c in client_counts]
-
-
-OFFLINE_WORKLOADS = ("pagerank", "wcc", "sssp")
 
 
 def _req_table3(profile):

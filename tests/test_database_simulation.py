@@ -132,6 +132,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             sim.run(bindings, duration=0)
 
+    def test_warmup_fraction_must_be_in_unit_interval(self, sim_setup):
+        """A negative warmup widened the throughput window past the run;
+        one of 1 or more (or NaN) counted nothing and reported 0."""
+        graph, partition, bindings = sim_setup
+        sim = ClosedLoopSimulation(graph, partition.assignment, 8)
+        for fraction in (-1e-9, 1.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="warmup_fraction"):
+                sim.run(bindings, duration=0.1, warmup_fraction=fraction)
+        assert sim.run(bindings, duration=0.1,
+                       warmup_fraction=0.0).warmup == 0.0
+
     def test_owner_shape_checked(self, sim_setup):
         graph, _partition, _ = sim_setup
         with pytest.raises(ConfigurationError):

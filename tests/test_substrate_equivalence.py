@@ -42,7 +42,7 @@ from repro.database import WorkloadGenerator
 from repro.database._reference import ReferenceClosedLoopSimulation
 from repro.database.cluster import ServiceModel
 from repro.database.simulation import ClosedLoopSimulation
-from repro.faults import FaultSchedule
+from repro.faults import CrashInterval, FaultSchedule, SlowdownInterval
 from repro.graph.generators import erdos_renyi, ldbc_like
 from repro.partitioning.registry import make_seeded_partitioner
 from repro.telemetry import set_tracer
@@ -104,6 +104,17 @@ DES_SCENARIOS = {
     }, "migrate_first": 20},
     "crash": {"fault": True},
     "crash+traced+sampled": {"fault": True, "tracing": True, "sample": True},
+    # The ablation-fault-tolerance shape over duration 0.25: overlapping
+    # crashes take worker 1's whole replica chain down (queries abort),
+    # worker 4 straggles at half speed, 1% of requests drop and remote
+    # hops pay extra latency — every fault hook of the loop fires (107
+    # timeouts and retries, 28 drops, 6 failed queries).
+    "ablation-faults+traced+sampled": {"fault_schedule": FaultSchedule(
+        crashes=(CrashInterval(1, 0.0875, 0.1375),
+                 CrashInterval(2, 0.1, 0.1375)),
+        slowdowns=(SlowdownInterval(4, 0.1625, 0.2125, 0.5),),
+        drop_probability=0.01, extra_latency_seconds=0.0005, seed=3),
+        "tracing": True, "sample": True},
 }
 
 
@@ -122,6 +133,8 @@ def test_des_event_loop_matches_reference(des_setup, scenario):
     if spec.get("fault"):
         ctor_kwargs["fault_schedule"] = FaultSchedule.single_crash(
             1, 0.02, 0.1, seed=3)
+    if "fault_schedule" in spec:
+        ctor_kwargs["fault_schedule"] = spec["fault_schedule"]
     digests = []
     for sim_cls in (ReferenceClosedLoopSimulation, ClosedLoopSimulation):
         tracer = Tracer(enabled=spec.get("tracing", False))
