@@ -11,9 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analytics import Placement
-from repro.experiments.figures import MEDIUM_LOAD_CLIENTS
+from repro.experiments.datasets import ONLINE_DATASET
+from repro.experiments.figures import MEDIUM_LOAD_CLIENTS, ONLINE_WORKERS
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import PARTITION_SEED, STREAM_ORDER, ExperimentContext
+from repro.experiments.runner import (
+    PARTITION_SEED,
+    STREAM_ORDER,
+    Artifact,
+    ExperimentContext,
+    group_by,
+    requires,
+)
+from repro.faults import ChaosHarness, CrashInterval, FaultSchedule, SlowdownInterval
 from repro.metrics import edge_cut_ratio, partition_balance, replication_factor
 from repro.partitioning import (
     FennelPartitioner,
@@ -21,23 +30,40 @@ from repro.partitioning import (
     GreedyVertexCutPartitioner,
     HdrfPartitioner,
     RestreamingLdgPartitioner,
+    make_seeded_partitioner,
 )
 
+#: Graph of the algorithm-knob ablations (the paper's skewed workhorse).
+KNOB_DATASET = "twitter"
+#: Partition count of the partitioning ablations.
+ABLATION_PARTITIONS = 16
+#: Speed of the degraded worker in the straggler ablation.
+SLOW_FACTOR = 0.4
+#: Share of edges held back and added after partitioning (dynamic updates).
+GROWTH_FRACTION = 0.2
 
-def ablation_stream_order(ctx: ExperimentContext | None = None,
-                          dataset: str = "twitter",
-                          num_partitions: int = 16) -> ExperimentReport:
+_KNOB_GRAPH = Artifact("dataset", dict(dataset=KNOB_DATASET))
+
+
+def _one_hop(algorithm: str, **options) -> Artifact:
+    """A medium-load 1-hop run on the online dataset's fixed cluster."""
+    return Artifact("simulation", dict(
+        dataset=ONLINE_DATASET, algorithm=algorithm, k=ONLINE_WORKERS,
+        kind="one_hop", clients_per_worker=MEDIUM_LOAD_CLIENTS, **options))
+
+
+@requires(lambda profile: [_KNOB_GRAPH])
+def ablation_stream_order(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Stream-order sensitivity: greedy vertex-cut vs HDRF.
 
     Section 4.2.2: PowerGraph's greedy formulation "is sensitive to stream
     orders and might result in a single partition in case of breadth-first
     traversal order. HDRF avoids this problem" via its λ balance term.
     """
-    ctx = ctx or ExperimentContext()
-    graph = ctx.graph(dataset)
+    graph = artifacts[_KNOB_GRAPH]
     report = ExperimentReport(
         "ablation-stream-order",
-        f"Stream order sensitivity on {dataset}, k={num_partitions}",
+        f"Stream order sensitivity on {KNOB_DATASET}, k={ABLATION_PARTITIONS}",
     )
     table = report.add_table(Table(
         "Replication factor / balance by stream order",
@@ -50,7 +76,7 @@ def ablation_stream_order(ctx: ExperimentContext | None = None,
             ("greedy", GreedyVertexCutPartitioner(seed=PARTITION_SEED)),
             ("hdrf", HdrfPartitioner(seed=PARTITION_SEED)),
         ):
-            partition = partitioner.partition(graph, num_partitions,
+            partition = partitioner.partition(graph, ABLATION_PARTITIONS,
                                               order=order, seed=PARTITION_SEED)
             row[label] = (replication_factor(graph, partition),
                           partition_balance(graph, partition))
@@ -64,15 +90,13 @@ def ablation_stream_order(ctx: ExperimentContext | None = None,
     return report
 
 
-def ablation_fennel_gamma(ctx: ExperimentContext | None = None,
-                          dataset: str = "twitter",
-                          num_partitions: int = 16) -> ExperimentReport:
+@requires(lambda profile: [_KNOB_GRAPH])
+def ablation_fennel_gamma(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """FENNEL γ sweep: cut quality vs balance trade-off (Eq. 5)."""
-    ctx = ctx or ExperimentContext()
-    graph = ctx.graph(dataset)
+    graph = artifacts[_KNOB_GRAPH]
     report = ExperimentReport(
         "ablation-fennel-gamma",
-        f"FENNEL gamma sweep on {dataset}, k={num_partitions}",
+        f"FENNEL gamma sweep on {KNOB_DATASET}, k={ABLATION_PARTITIONS}",
     )
     table = report.add_table(Table(
         "Edge-cut ratio and balance vs gamma",
@@ -81,7 +105,7 @@ def ablation_fennel_gamma(ctx: ExperimentContext | None = None,
     data = {}
     for gamma in (1.25, 1.5, 2.0, 3.0):
         partition = FennelPartitioner(gamma=gamma, seed=PARTITION_SEED) \
-            .partition(graph, num_partitions, order="random",
+            .partition(graph, ABLATION_PARTITIONS, order="random",
                        seed=PARTITION_SEED)
         data[gamma] = (edge_cut_ratio(graph, partition),
                        partition_balance(graph, partition))
@@ -90,15 +114,13 @@ def ablation_fennel_gamma(ctx: ExperimentContext | None = None,
     return report
 
 
-def ablation_hdrf_lambda(ctx: ExperimentContext | None = None,
-                         dataset: str = "twitter",
-                         num_partitions: int = 16) -> ExperimentReport:
+@requires(lambda profile: [_KNOB_GRAPH])
+def ablation_hdrf_lambda(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """HDRF λ sweep: replication vs balance (Eq. 7)."""
-    ctx = ctx or ExperimentContext()
-    graph = ctx.graph(dataset)
+    graph = artifacts[_KNOB_GRAPH]
     report = ExperimentReport(
         "ablation-hdrf-lambda",
-        f"HDRF lambda sweep on {dataset}, k={num_partitions}",
+        f"HDRF lambda sweep on {KNOB_DATASET}, k={ABLATION_PARTITIONS}",
     )
     table = report.add_table(Table(
         "Replication factor and balance vs lambda",
@@ -107,7 +129,8 @@ def ablation_hdrf_lambda(ctx: ExperimentContext | None = None,
     data = {}
     for lam in (0.5, 1.0, 1.1, 2.0, 10.0):
         partition = HdrfPartitioner(balance_weight=lam, seed=PARTITION_SEED) \
-            .partition(graph, num_partitions, order="bfs", seed=PARTITION_SEED)
+            .partition(graph, ABLATION_PARTITIONS, order="bfs",
+                       seed=PARTITION_SEED)
         data[lam] = (replication_factor(graph, partition),
                      partition_balance(graph, partition))
         table.add_row(lam, round(data[lam][0], 2), round(data[lam][1], 3))
@@ -117,15 +140,14 @@ def ablation_hdrf_lambda(ctx: ExperimentContext | None = None,
     return report
 
 
-def ablation_ginger_threshold(ctx: ExperimentContext | None = None,
-                              dataset: str = "twitter",
-                              num_partitions: int = 16) -> ExperimentReport:
+@requires(lambda profile: [_KNOB_GRAPH])
+def ablation_ginger_threshold(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Ginger degree-threshold sweep (the hybrid-cut cutoff)."""
-    ctx = ctx or ExperimentContext()
-    graph = ctx.graph(dataset)
+    graph = artifacts[_KNOB_GRAPH]
     report = ExperimentReport(
         "ablation-ginger-threshold",
-        f"Ginger high-degree threshold sweep on {dataset}, k={num_partitions}",
+        f"Ginger high-degree threshold sweep on {KNOB_DATASET}, "
+        f"k={ABLATION_PARTITIONS}",
     )
     table = report.add_table(Table(
         "Replication factor and balance vs threshold",
@@ -135,7 +157,7 @@ def ablation_ginger_threshold(ctx: ExperimentContext | None = None,
     for threshold in (10, 50, 100, 500, 10**9):
         partition = GingerPartitioner(degree_threshold=threshold,
                                       seed=PARTITION_SEED) \
-            .partition(graph, num_partitions, order="random",
+            .partition(graph, ABLATION_PARTITIONS, order="random",
                        seed=PARTITION_SEED)
         data[threshold] = (replication_factor(graph, partition),
                            partition_balance(graph, partition))
@@ -147,11 +169,16 @@ def ablation_ginger_threshold(ctx: ExperimentContext | None = None,
     return report
 
 
-def ablation_restreaming(ctx: ExperimentContext | None = None,
-                         dataset: str = "usa-road",
-                         num_partitions: int = 16) -> ExperimentReport:
+#: The offline quality bound restreaming is measured against.
+_RESTREAMING_MTS = Artifact("partition", dict(
+    dataset="usa-road", algorithm="mts", k=ABLATION_PARTITIONS))
+
+
+@requires(lambda profile: [_RESTREAMING_MTS])
+def ablation_restreaming(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """re-LDG pass-count sweep: approaching offline (MTS) quality."""
-    ctx = ctx or ExperimentContext()
+    mts = artifacts[_RESTREAMING_MTS]
+    dataset, num_partitions = _RESTREAMING_MTS["dataset"], _RESTREAMING_MTS["k"]
     graph = ctx.graph(dataset)
     report = ExperimentReport(
         "ablation-restreaming",
@@ -169,7 +196,6 @@ def ablation_restreaming(ctx: ExperimentContext | None = None,
                        seed=PARTITION_SEED)
         data[passes] = edge_cut_ratio(graph, partition)
         table.add_row(passes, round(data[passes], 3))
-    mts = ctx.partition(dataset, "mts", num_partitions)
     mts_cut = edge_cut_ratio(graph, mts)
     report.data["results"] = data
     report.data["mts_cut"] = mts_cut
@@ -179,15 +205,18 @@ def ablation_restreaming(ctx: ExperimentContext | None = None,
     return report
 
 
-def ablation_dynamic_updates(ctx: ExperimentContext | None = None,
-                             dataset: str = "ldbc-snb",
-                             num_partitions: int = 16,
-                             growth_fraction: float = 0.2) -> ExperimentReport:
+#: The offline bound of the dynamic-updates ablation, on the grown graph.
+_DYNAMIC_MTS = Artifact("partition", dict(
+    dataset=ONLINE_DATASET, algorithm="mts", k=ABLATION_PARTITIONS))
+
+
+@requires(lambda profile: [_DYNAMIC_MTS])
+def ablation_dynamic_updates(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Dynamic graphs: how a partitioning ages and how refinement helps.
 
     Section 2 motivates Hermes/Leopard with exactly this scenario: the
     graph grows after the initial (bulk-load) partitioning.  We hold back
-    ``growth_fraction`` of the edges, partition the remainder with LDG,
+    :data:`GROWTH_FRACTION` of the edges, partition the remainder with LDG,
     then add the held-back edges and compare:
 
     * the *stale* partitioning on the grown graph,
@@ -198,10 +227,11 @@ def ablation_dynamic_updates(ctx: ExperimentContext | None = None,
     from repro.partitioning import LdgPartitioner, hermes_refine
     from repro.rng import make_rng
 
-    ctx = ctx or ExperimentContext()
+    offline = artifacts[_DYNAMIC_MTS]
+    dataset, num_partitions = _DYNAMIC_MTS["dataset"], _DYNAMIC_MTS["k"]
     graph = ctx.graph(dataset)
     rng = make_rng(PARTITION_SEED)
-    keep = rng.random(graph.num_edges) >= growth_fraction
+    keep = rng.random(graph.num_edges) >= GROWTH_FRACTION
     base_graph = graph.subgraph_edges(np.flatnonzero(keep),
                                       name=f"{dataset}-base")
 
@@ -210,11 +240,10 @@ def ablation_dynamic_updates(ctx: ExperimentContext | None = None,
     refreshed = hermes_refine(graph, stale, seed=PARTITION_SEED)
     restreamed = LdgPartitioner(seed=PARTITION_SEED).partition(
         graph, num_partitions, order=STREAM_ORDER, seed=PARTITION_SEED)
-    offline = ctx.partition(dataset, "mts", num_partitions)
 
     report = ExperimentReport(
         "ablation-dynamic-updates",
-        f"Partition aging under {growth_fraction:.0%} edge growth "
+        f"Partition aging under {GROWTH_FRACTION:.0%} edge growth "
         f"({dataset}, k={num_partitions})",
     )
     table = report.add_table(Table(
@@ -234,10 +263,10 @@ def ablation_dynamic_updates(ctx: ExperimentContext | None = None,
     return report
 
 
-def ablation_straggler(ctx: ExperimentContext | None = None,
-                       dataset: str = "ldbc-snb", num_workers: int = 16,
-                       slow_factor: float = 0.4) -> ExperimentReport:
-    """Failure injection: one worker degrades to ``slow_factor`` speed.
+@requires(lambda profile: [
+    _one_hop(algorithm) for algorithm in ("ecr", "ldg", "fennel", "mts")])
+def ablation_straggler(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
+    """Failure injection: one worker degrades to :data:`SLOW_FACTOR` speed.
 
     A straggling machine is the classic tail-latency amplifier.  The
     partition-aware router keeps sending it every query it owns, so a
@@ -246,28 +275,26 @@ def ablation_straggler(ctx: ExperimentContext | None = None,
     behind the paper's hash-partitioning recommendation for
     latency-critical workloads.
     """
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "ablation-straggler",
-        f"Tail latency with one worker at {slow_factor:.0%} speed "
-        f"({dataset}, {num_workers} workers, medium load)",
+        f"Tail latency with one worker at {SLOW_FACTOR:.0%} speed "
+        f"({ONLINE_DATASET}, {ONLINE_WORKERS} workers, medium load)",
     )
     table = report.add_table(Table(
         "p99 latency (ms), healthy vs degraded cluster",
         ["Algorithm", "Healthy p99", "Straggler p99", "Blowup"],
     ))
     data = {}
-    for algorithm in ("ecr", "ldg", "fennel", "mts"):
-        healthy = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                 clients_per_worker=MEDIUM_LOAD_CLIENTS)
+    for artifact, healthy in artifacts.items():
+        algorithm = artifact["algorithm"]
         # Degrade the worker that serves the most reads — the worst case
-        # the operator cares about.
+        # the operator cares about.  Which worker that is depends on the
+        # healthy run, so the degraded run cannot be planned ahead: it is
+        # computed here, through the same cache.
         hot_worker = int(np.argmax(healthy.read_distribution()))
-        speeds = [1.0] * num_workers
-        speeds[hot_worker] = slow_factor
-        degraded = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                  clients_per_worker=MEDIUM_LOAD_CLIENTS,
-                                  worker_speeds=speeds)
+        speeds = [1.0] * artifact["k"]
+        speeds[hot_worker] = SLOW_FACTOR
+        degraded = ctx.simulation(**artifact.kwargs, worker_speeds=speeds)
         h_p99 = healthy.latency().p99 * 1e3
         d_p99 = degraded.latency().p99 * 1e3
         data[algorithm] = (h_p99, d_p99)
@@ -280,9 +307,41 @@ def ablation_straggler(ctx: ExperimentContext | None = None,
     return report
 
 
-def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
-                             dataset: str = "ldbc-snb",
-                             num_workers: int = 16) -> ExperimentReport:
+#: The inputs of the zero-fault chaos check.
+_CHAOS_PARTITION = Artifact("partition", dict(
+    dataset=ONLINE_DATASET, algorithm="ecr", k=ONLINE_WORKERS))
+_CHAOS_BINDINGS = Artifact("bindings", dict(dataset=ONLINE_DATASET,
+                                            kind="one_hop"))
+
+
+def _fault_tolerance_needs(profile) -> list:
+    """The chaos check's inputs, a (healthy, faulted) 1-hop run pair per
+    algorithm, and healthy PageRank runs (ECR's also times the crash)."""
+    duration = profile.sim_duration
+    schedule = FaultSchedule(
+        crashes=(
+            CrashInterval(1 % ONLINE_WORKERS, 0.35 * duration, 0.55 * duration),
+            CrashInterval(2 % ONLINE_WORKERS, 0.40 * duration, 0.55 * duration),
+        ),
+        slowdowns=(
+            SlowdownInterval(min(4, ONLINE_WORKERS - 1), 0.65 * duration,
+                             0.85 * duration, 0.5),
+        ),
+        drop_probability=0.01,
+        seed=PARTITION_SEED,
+    )
+    online = [artifact for algorithm in ("ecr", "ldg", "fennel")
+              for artifact in (_one_hop(algorithm),
+                               _one_hop(algorithm, fault_schedule=schedule))]
+    offline = [Artifact("analytics", dict(dataset=ONLINE_DATASET,
+                                          algorithm=algorithm, k=ONLINE_WORKERS,
+                                          workload="pagerank"))
+               for algorithm in ("ecr", "ldg", "fennel", "hdrf")]
+    return [_CHAOS_PARTITION, _CHAOS_BINDINGS, *online, *offline]
+
+
+@requires(_fault_tolerance_needs)
+def ablation_fault_tolerance(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Fault injection on both substrates: availability and recovery cost.
 
     Extends the paper's straggler discussion (Section 5.2) from *slow*
@@ -302,35 +361,12 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
     cost (state lost, migration traffic, re-homing quality) depends on the
     partitioning under test.
     """
-    from repro.faults import (
-        ChaosHarness,
-        CrashInterval,
-        FaultSchedule,
-        SlowdownInterval,
-    )
-
-    ctx = ctx or ExperimentContext()
-    graph = ctx.graph(dataset)
-    bindings = ctx.bindings(dataset, "one_hop")
-    duration = ctx.profile.sim_duration
-    slow_worker = min(4, num_workers - 1)
-    schedule = FaultSchedule(
-        crashes=(
-            CrashInterval(1 % num_workers, 0.35 * duration, 0.55 * duration),
-            CrashInterval(2 % num_workers, 0.40 * duration, 0.55 * duration),
-        ),
-        slowdowns=(
-            SlowdownInterval(slow_worker, 0.65 * duration,
-                             0.85 * duration, 0.5),
-        ),
-        drop_probability=0.01,
-        seed=PARTITION_SEED,
-    )
+    graph = ctx.graph(ONLINE_DATASET)
 
     report = ExperimentReport(
         "ablation-fault-tolerance",
         f"Availability and recovery under one fault schedule "
-        f"({dataset}, {num_workers} workers)",
+        f"({ONLINE_DATASET}, {ONLINE_WORKERS} workers)",
     )
 
     online_table = report.add_table(Table(
@@ -339,12 +375,10 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
          "Healthy p99", "Faulted p99"],
     ))
     online = {}
-    for algorithm in ("ecr", "ldg", "fennel"):
-        healthy = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                 clients_per_worker=MEDIUM_LOAD_CLIENTS)
-        faulted = ctx.simulation(dataset, algorithm, num_workers, "one_hop",
-                                 clients_per_worker=MEDIUM_LOAD_CLIENTS,
-                                 fault_schedule=schedule)
+    online_runs = {artifact: run for artifact, run in artifacts.items()
+                   if artifact.kind == "simulation"}
+    for algorithm, runs in group_by(online_runs, "algorithm").items():
+        healthy, faulted = runs.values()
         online[algorithm] = {
             "availability": faulted.availability,
             "timeouts": faulted.timeouts,
@@ -362,11 +396,16 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
 
     # Offline: crash one machine mid-PageRank.  The crash instant is fixed
     # from the hash baseline's wall clock, so every algorithm faces the
-    # same schedule.
-    reference = ctx.analytics_run(dataset, "ecr", num_workers, "pagerank")
+    # same schedule.  It depends on that run's result, so the faulted
+    # runs cannot be planned ahead: they are computed here, through the
+    # same cache.
+    offline_runs = {artifact: run for artifact, run in artifacts.items()
+                    if artifact.kind == "analytics"}
+    reference = next(run for artifact, run in offline_runs.items()
+                     if artifact["algorithm"] == "ecr")
     crash_at = 0.4 * reference.execution_seconds
     engine_schedule = FaultSchedule.single_crash(
-        1 % num_workers, crash_at, 0.2 * reference.execution_seconds,
+        1 % ONLINE_WORKERS, crash_at, 0.2 * reference.execution_seconds,
         seed=PARTITION_SEED)
 
     offline_table = report.add_table(Table(
@@ -375,11 +414,9 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
          "RecoveryMs", "Slowdown"],
     ))
     offline = {}
-    for algorithm in ("ecr", "ldg", "fennel", "hdrf"):
-        healthy = ctx.analytics_run(dataset, algorithm, num_workers,
-                                    "pagerank")
-        faulted = ctx.analytics_run(dataset, algorithm, num_workers,
-                                    "pagerank",
+    for artifact, healthy in offline_runs.items():
+        algorithm = artifact["algorithm"]
+        faulted = ctx.analytics_run(**artifact.kwargs,
                                     fault_schedule=engine_schedule,
                                     checkpoint_interval=2)
         lost = sum(e.lost_vertices for e in faulted.recovery_events)
@@ -401,8 +438,8 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
     # The chaos invariant: the zero-fault schedule must reproduce the
     # fault-free baseline bit-for-bit (raises on violation).
     ChaosHarness().verify_simulation(
-        graph, ctx.online_partition(dataset, "ecr", num_workers), bindings,
-        duration=min(duration, 0.3))
+        graph, artifacts[_CHAOS_PARTITION], artifacts[_CHAOS_BINDINGS],
+        duration=min(ctx.profile.sim_duration, 0.3))
     report.data["results"] = {"online": online, "offline": offline}
     report.add_note("Zero-fault schedule verified bit-identical to the "
                     "fault-free baseline (ChaosHarness).")
@@ -413,9 +450,8 @@ def ablation_fault_tolerance(ctx: ExperimentContext | None = None,
     return report
 
 
-def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
-                               dataset: str = "twitter",
-                               num_partitions: int = 16) -> ExperimentReport:
+@requires(lambda profile: [_KNOB_GRAPH])
+def ablation_partitioning_cost(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Partitioning wall time and synopsis memory per algorithm.
 
     Section 4.1.1: streaming partitioners are "approximately ten times
@@ -427,14 +463,11 @@ def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
     import time
     import tracemalloc
 
-    from repro.experiments.runner import ExperimentContext as _Ctx
-
-    ctx = ctx or ExperimentContext()
-    graph = ctx.graph(dataset)
+    graph = artifacts[_KNOB_GRAPH]
     report = ExperimentReport(
         "ablation-partitioning-cost",
-        f"Partitioning cost on {dataset} "
-        f"({graph.num_edges:,} edges, k={num_partitions})",
+        f"Partitioning cost on {KNOB_DATASET} "
+        f"({graph.num_edges:,} edges, k={ABLATION_PARTITIONS})",
     )
     table = report.add_table(Table(
         "Wall time and peak synopsis memory",
@@ -442,10 +475,10 @@ def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
     ))
     data = {}
     for algorithm in ("ecr", "ldg", "fennel", "hdrf", "hg", "mts"):
-        partitioner = _Ctx._make(algorithm)
+        partitioner = make_seeded_partitioner(algorithm, PARTITION_SEED)
         tracemalloc.start()
         started = time.time()
-        partitioner.partition(graph, num_partitions, order=STREAM_ORDER,
+        partitioner.partition(graph, ABLATION_PARTITIONS, order=STREAM_ORDER,
                               seed=PARTITION_SEED)
         elapsed = time.time() - started
         _current, peak = tracemalloc.get_traced_memory()
@@ -461,9 +494,12 @@ def ablation_partitioning_cost(ctx: ExperimentContext | None = None,
     return report
 
 
-def ablation_sender_side_aggregation(ctx: ExperimentContext | None = None,
-                                     dataset: str = "twitter",
-                                     num_partitions: int = 16) -> ExperimentReport:
+@requires(lambda profile: [
+    Artifact("partition", dict(dataset=KNOB_DATASET,
+                               algorithm=algorithm,
+                               k=ABLATION_PARTITIONS))
+    for algorithm in ("ecr", "ldg", "vcr", "hdrf", "hcr")])
+def ablation_sender_side_aggregation(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Quantify Appendix B: the edge-cut PageRank advantage.
 
     Compares the mirror-update traffic a changed vertex generates under
@@ -471,20 +507,19 @@ def ablation_sender_side_aggregation(ctx: ExperimentContext | None = None,
     out-edges are source-local in the Appendix-B placement) against the
     all-mirror rule a naive system would use.
     """
-    ctx = ctx or ExperimentContext()
-    graph = ctx.graph(dataset)
+    graph = ctx.graph(KNOB_DATASET)
     report = ExperimentReport(
         "ablation-sender-side-aggregation",
-        f"Appendix B: out-edge-local vs all-mirror updates on {dataset}",
+        f"Appendix B: out-edge-local vs all-mirror updates on {KNOB_DATASET}",
     )
     table = report.add_table(Table(
         "Per-iteration mirror updates if every vertex changes",
         ["Algorithm", "Out-edge mirrors", "All mirrors", "Saving"],
     ))
     data = {}
-    for algorithm in ("ecr", "ldg", "vcr", "hdrf", "hcr"):
-        placement = Placement(graph, ctx.partition(dataset, algorithm,
-                                                   num_partitions))
+    for artifact, partition in artifacts.items():
+        algorithm = artifact["algorithm"]
+        placement = Placement(graph, partition)
         out_updates = int(placement.mirror_counts_out.sum())
         all_updates = int(placement.mirror_counts_all.sum())
         saving = 1.0 - out_updates / all_updates if all_updates else 0.0

@@ -12,8 +12,9 @@ read loss at zero throughout.
 
 from __future__ import annotations
 
+from repro.experiments.datasets import ONLINE_DATASET
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import Artifact, ExperimentContext, requires
 from repro.service.config import ServiceConfig
 from repro.service.core import PartitionedGraphService
 
@@ -39,11 +40,15 @@ def _service_config(num_vertices: int, *, budget: int | None) -> ServiceConfig:
     )
 
 
-def online_service(ctx: ExperimentContext | None = None,
-                   dataset: str = "ldbc-snb") -> ExperimentReport:
+#: The base graph the service starts from; the service loop derives its
+#: partitions, traffic and simulations from its own seeds.
+_SERVICE_GRAPH = Artifact("dataset", dict(dataset=ONLINE_DATASET))
+
+
+@requires(lambda profile: [_SERVICE_GRAPH])
+def online_service(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Drift -> bounded migration -> recovery, across budget policies."""
-    ctx = ctx or ExperimentContext()
-    graph = ctx.graph(dataset)
+    graph = artifacts[_SERVICE_GRAPH]
     budgets: tuple[tuple[str, int | None], ...] = (
         ("no migration", None),
         ("tight budget", max(64, graph.num_vertices // 16)),
@@ -52,7 +57,7 @@ def online_service(ctx: ExperimentContext | None = None,
 
     report = ExperimentReport(
         "online-service",
-        f"Online partitioning service on {dataset} "
+        f"Online partitioning service on {ONLINE_DATASET} "
         f"({graph.num_vertices:,} vertices): migration budget ablation",
     )
     table = report.add_table(Table(

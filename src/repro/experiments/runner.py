@@ -22,6 +22,7 @@ placement would duplicate the whole graph into every blob.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.analytics import (
@@ -34,6 +35,7 @@ from repro.analytics import (
 )
 from repro.analytics.result import AnalyticsRun
 from repro.database import WorkloadGenerator, simulate_workload
+from repro.errors import ConfigurationError
 from repro.experiments.datasets import (
     active_scale,
     load_dataset,
@@ -49,6 +51,69 @@ PARTITION_SEED = 1301
 #: serialisation order, which carries locality for road/web graphs — the
 #: same situation as the paper's bulk loads from disk.
 STREAM_ORDER = "natural"
+
+
+def artifact_id(kind: str, params: dict) -> str:
+    """``kind:`` plus the parameter values in name order."""
+    parts = [str(params[key]) for key in sorted(params)]
+    return f"{kind}:" + "/".join(parts) if parts else kind
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One artifact an experiment reads, declared with :func:`requires`.
+
+    ``kind`` names the :class:`ExperimentContext` method that computes it
+    (:data:`ARTIFACT_METHODS`); ``kwargs`` are exactly that method's
+    keyword arguments.  Identity is :attr:`id`, which is also the
+    orchestrator's job id.
+    """
+
+    kind: str
+    kwargs: dict = field(compare=False)
+    id: str = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "id", artifact_id(self.kind, self.kwargs))
+
+    def __getitem__(self, name: str):
+        return self.kwargs[name]
+
+
+def requires(requirements):
+    """Declare an experiment's artifacts once, as a function of the profile.
+
+    ``@requires(needs)`` turns ``body(ctx, artifacts)`` into the
+    registry's ``experiment(ctx=None)``: it fetches ``needs(ctx.profile)``
+    and passes the body that ``{Artifact: value}`` mapping, so the body
+    reads nothing it did not declare.  :func:`repro.orchestrator.build_plan`
+    plans the same ``experiment.requirements``.
+    """
+    def declare(body):
+        @functools.wraps(body)
+        def experiment(ctx: ExperimentContext | None = None):
+            ctx = ctx or ExperimentContext()
+            return body(ctx, {
+                artifact: ARTIFACT_METHODS[artifact.kind](ctx, **artifact.kwargs)
+                for artifact in requirements(ctx.profile)})
+
+        experiment.requirements = requirements
+        return experiment
+    return declare
+
+
+def group_by(artifacts: dict, *names: str) -> dict:
+    """Nest an ``{Artifact: value}`` mapping by the named kwargs.
+
+    ``group_by(runs, "workload", "k")`` is ``{workload: {k: {artifact:
+    value}}}``; every level keeps declaration order.
+    """
+    if not names:
+        return artifacts
+    nested: dict = {}
+    for artifact, value in artifacts.items():
+        nested.setdefault(artifact[names[0]], {})[artifact] = value
+    return {key: group_by(group, *names[1:]) for key, group in nested.items()}
 
 
 @dataclass
@@ -127,20 +192,12 @@ class ExperimentContext:
         }
 
         def compute():
-            return self._make(algorithm).partition(
+            return make_seeded_partitioner(algorithm, PARTITION_SEED).partition(
                 self.graph(dataset), k, order=STREAM_ORDER, seed=PARTITION_SEED,
             )
 
         return self._through_cache(self._partitions, key, "partition",
                                    fields, compute)
-
-    @staticmethod
-    def _make(algorithm: str):
-        # Seedable algorithms get the experiment seed; hash-based ones are
-        # built without it.  The registry's accepts_seed flag makes the
-        # distinction explicit, so a genuine TypeError raised inside a
-        # constructor propagates instead of being retried seedless.
-        return make_seeded_partitioner(algorithm, PARTITION_SEED)
 
     def placement(self, dataset: str, algorithm: str, k: int) -> Placement:
         """Placement for a (cached) partition.
@@ -165,7 +222,7 @@ class ExperimentContext:
             return WeaklyConnectedComponents()
         if workload == "sssp":
             return SingleSourceShortestPath(source=sssp_source(self.graph(dataset)))
-        raise ValueError(f"unknown workload {workload!r}")
+        raise ConfigurationError(f"unknown workload {workload!r}")
 
     def analytics_run(self, dataset: str, algorithm: str, k: int,
                       workload: str, *, fault_schedule=None,
@@ -261,7 +318,7 @@ class ExperimentContext:
         supports only the edge-cut model)."""
         partition = self.partition(dataset, algorithm, k)
         if not isinstance(partition, VertexPartition):
-            raise ValueError(
+            raise ConfigurationError(
                 f"{algorithm} is not an edge-cut algorithm; the online "
                 f"experiments only run edge-cut partitionings"
             )
@@ -311,3 +368,14 @@ class ExperimentContext:
 
         return self._through_cache(self._simulations, key, "simulation",
                                    fields, compute)
+
+
+#: The :class:`ExperimentContext` method that computes each artifact kind.
+ARTIFACT_METHODS = {
+    "dataset": ExperimentContext.graph,
+    "partition": ExperimentContext.partition,
+    "bindings": ExperimentContext.bindings,
+    "analytics": ExperimentContext.analytics_run,
+    "simulation": ExperimentContext.simulation,
+    "ingest": ExperimentContext.ingest_run,
+}

@@ -25,7 +25,7 @@ the same surface with timers on.
 from __future__ import annotations
 
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import Artifact, ExperimentContext, requires
 
 #: Seed for every spilled stream and shard run in this experiment.
 SWEEP_SEED = 19
@@ -47,9 +47,22 @@ def _stream_spec(profile_name: str) -> dict:
     }
 
 
-def scale_sweep(ctx: ExperimentContext | None = None) -> ExperimentReport:
+@requires(lambda profile: [
+    Artifact("ingest", dict(spec={
+        "stream": _stream_spec(profile.name),
+        "shard": {
+            "algorithm": "hdrf",
+            "num_partitions": 8,
+            "state": state,
+            "num_shards": num_shards,
+            "sync_interval": sync_interval,
+            "seed": SWEEP_SEED,
+        },
+    }))
+    for state in ("exact", "sketch")
+    for num_shards, sync_interval in SHARD_GRID])
+def scale_sweep(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Shards × sync-interval × degree-state quality/memory surface."""
-    ctx = ctx or ExperimentContext()
     stream = _stream_spec(ctx.profile.name)
 
     report = ExperimentReport(
@@ -63,28 +76,19 @@ def scale_sweep(ctx: ExperimentContext | None = None) -> ExperimentReport:
          "PeakKiB", "FullKiB"],
     ))
     data = {}
-    for state in ("exact", "sketch"):
-        for num_shards, sync_interval in SHARD_GRID:
-            summary = ctx.ingest_run({
-                "stream": stream,
-                "shard": {
-                    "algorithm": "hdrf",
-                    "num_partitions": 8,
-                    "state": state,
-                    "num_shards": num_shards,
-                    "sync_interval": sync_interval,
-                    "seed": SWEEP_SEED,
-                },
-            })
-            label = f"{state}/s{num_shards}/i{sync_interval}"
-            data[label] = summary
-            table.add_row(
-                state, num_shards, sync_interval, summary["rounds"],
-                round(summary["replication_factor"], 3),
-                round(summary["load_imbalance"], 3),
-                summary["peak_tracked_bytes"] // 1024,
-                summary["full_materialization_bytes"] // 1024,
-            )
+    for artifact, summary in artifacts.items():
+        shard = artifact["spec"]["shard"]
+        state, num_shards = shard["state"], shard["num_shards"]
+        sync_interval = shard["sync_interval"]
+        label = f"{state}/s{num_shards}/i{sync_interval}"
+        data[label] = summary
+        table.add_row(
+            state, num_shards, sync_interval, summary["rounds"],
+            round(summary["replication_factor"], 3),
+            round(summary["load_imbalance"], 3),
+            summary["peak_tracked_bytes"] // 1024,
+            summary["full_materialization_bytes"] // 1024,
+        )
     report.data["results"] = data
     report.data["stream"] = stream
     report.add_note("Expected: the single-shard run matches the sequential "

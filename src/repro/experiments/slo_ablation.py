@@ -24,8 +24,9 @@ timelines and observability digests so the run is byte-regressable.
 
 from __future__ import annotations
 
+from repro.experiments.datasets import ONLINE_DATASET
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import Artifact, ExperimentContext, requires
 from repro.service.config import ServiceConfig
 from repro.service.core import PartitionedGraphService
 from repro.telemetry.slo import default_service_slos
@@ -84,15 +85,17 @@ def _variants(num_vertices: int):
     )
 
 
-def slo_ablation(ctx: ExperimentContext | None = None,
-                 dataset: str = "ldbc-snb") -> ExperimentReport:
+_SERVICE_GRAPH = Artifact("dataset", dict(dataset=ONLINE_DATASET))
+
+
+@requires(lambda profile: [_SERVICE_GRAPH])
+def slo_ablation(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Run the policy sweep and report SLO breaches per configuration."""
-    ctx = ctx or ExperimentContext()
-    graph = ctx.graph(dataset)
+    graph = artifacts[_SERVICE_GRAPH]
 
     report = ExperimentReport(
         "slo-ablation",
-        f"SLO ablation on {dataset} ({graph.num_vertices:,} vertices): "
+        f"SLO ablation on {ONLINE_DATASET} ({graph.num_vertices:,} vertices): "
         f"error-budget burn by service policy",
     )
     table = report.add_table(Table(

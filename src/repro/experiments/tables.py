@@ -2,17 +2,30 @@
 
 from __future__ import annotations
 
-from repro.experiments.datasets import DATASETS, dataset_summary
-from repro.experiments.figures import HIGH_LOAD_CLIENTS, MEDIUM_LOAD_CLIENTS
+from repro.experiments.datasets import DATASETS, ONLINE_DATASET, dataset_summary
+from repro.experiments.figures import (
+    HIGH_LOAD_CLIENTS,
+    MEDIUM_LOAD_CLIENTS,
+    ONLINE_WORKERS,
+)
 from repro.experiments.report import ExperimentReport, Table
-from repro.experiments.runner import ExperimentContext
+from repro.experiments.runner import (
+    Artifact,
+    ExperimentContext,
+    group_by,
+    requires,
+)
 from repro.metrics import edge_cut_ratio
 from repro.partitioning import ONLINE_ALGORITHMS
 
+#: Table 5's load scenarios: column label keyed by clients per worker.
+_TABLE5_LOADS = {MEDIUM_LOAD_CLIENTS: "med", HIGH_LOAD_CLIENTS: "high"}
 
-def table3(ctx: ExperimentContext | None = None) -> ExperimentReport:
+
+@requires(lambda profile: [
+    Artifact("dataset", dict(dataset=name)) for name in DATASETS])
+def table3(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Table 3: characteristics of the graph datasets."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "table3", "Graph datasets used in experiments (scaled substitutes)",
     )
@@ -21,8 +34,8 @@ def table3(ctx: ExperimentContext | None = None) -> ExperimentReport:
         ["Dataset", "Edges", "Vertices", "AvgDeg", "MaxDeg", "Type"],
     ))
     rows = []
-    for name in DATASETS:
-        summary = dataset_summary(name, ctx.scale)
+    for artifact in artifacts:
+        summary = dataset_summary(artifact["dataset"], ctx.scale)
         rows.append(summary)
         table.add_row(summary["dataset"], summary["edges"],
                       summary["vertices"], summary["avg_degree"],
@@ -35,55 +48,54 @@ def table3(ctx: ExperimentContext | None = None) -> ExperimentReport:
     return report
 
 
-def table4(ctx: ExperimentContext | None = None,
-           dataset: str = "ldbc-snb") -> ExperimentReport:
+@requires(lambda profile: [
+    Artifact("partition", dict(dataset=ONLINE_DATASET,
+                               algorithm=algorithm, k=k))
+    for k in profile.online_partitions
+    for algorithm in ONLINE_ALGORITHMS])
+def table4(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Table 4: edge-cut ratio on the LDBC SNB graph for 4–32 partitions."""
-    ctx = ctx or ExperimentContext()
-    graph = ctx.graph(dataset)
+    graph = ctx.graph(ONLINE_DATASET)
     report = ExperimentReport(
-        "table4", f"Edge-cut ratio for {dataset} graph",
+        "table4", f"Edge-cut ratio for {ONLINE_DATASET} graph",
     )
     table = report.add_table(Table(
         "Edge-cut ratio (lower is better)",
         ["Partitions", *[a.upper() for a in ONLINE_ALGORITHMS]],
     ))
     data: dict[int, dict[str, float]] = {}
-    for k in ctx.profile.online_partitions:
-        row = {}
-        for algorithm in ONLINE_ALGORITHMS:
-            partition = ctx.online_partition(dataset, algorithm, k)
-            row[algorithm] = edge_cut_ratio(graph, partition)
+    for k, cells in group_by(artifacts, "k").items():
+        row = {artifact["algorithm"]: edge_cut_ratio(graph, partition)
+               for artifact, partition in cells.items()}
         data[k] = row
-        table.add_row(k, *[round(row[a], 3) for a in ONLINE_ALGORITHMS])
+        table.add_row(k, *[round(value, 3) for value in row.values()])
     report.data["cut_ratios"] = data
     report.add_note("Expected shape: ECR ≈ 1 - 1/k; FNL between LDG and "
                     "MTS; MTS lowest (paper Table 4).")
     return report
 
 
-def table5(ctx: ExperimentContext | None = None, dataset: str = "ldbc-snb",
-           num_workers: int = 16) -> ExperimentReport:
+@requires(lambda profile: [
+    Artifact("simulation", dict(dataset=ONLINE_DATASET,
+                                algorithm=algorithm, k=ONLINE_WORKERS,
+                                kind="one_hop",
+                                clients_per_worker=clients))
+    for algorithm in ONLINE_ALGORITHMS for clients in _TABLE5_LOADS])
+def table5(ctx: ExperimentContext, artifacts: dict) -> ExperimentReport:
     """Table 5: mean and tail latency of the 1-hop workload, 16 workers."""
-    ctx = ctx or ExperimentContext()
     report = ExperimentReport(
         "table5",
-        f"Mean and 99th-percentile latency (ms), 1-hop on {dataset}, "
-        f"{num_workers} workers",
+        f"Mean and 99th-percentile latency (ms), 1-hop on {ONLINE_DATASET}, "
+        f"{ONLINE_WORKERS} workers",
     )
     table = report.add_table(Table(
         "Latency under medium (12 clients/worker) and high (24) load",
         ["Algorithm", "Mean (med)", "p99 (med)", "Mean (high)", "p99 (high)"],
     ))
     data = {}
-    for algorithm in ONLINE_ALGORITHMS:
-        row = {}
-        for label, clients in (("med", MEDIUM_LOAD_CLIENTS),
-                               ("high", HIGH_LOAD_CLIENTS)):
-            result = ctx.simulation(
-                dataset, algorithm, num_workers, "one_hop",
-                clients_per_worker=clients,
-            )
-            row[label] = result.latency()
+    for algorithm, cells in group_by(artifacts, "algorithm").items():
+        row = {_TABLE5_LOADS[artifact["clients_per_worker"]]: result.latency()
+               for artifact, result in cells.items()}
         data[algorithm] = row
         table.add_row(
             algorithm.upper(),

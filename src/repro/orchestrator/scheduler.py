@@ -133,26 +133,17 @@ def _execute_job(task: dict):
     ``digest``/``report`` are ``None`` for artifact jobs — their value
     lives in the shared cache, not on the result pipe.
     """
+    from repro.experiments.runner import ARTIFACT_METHODS
+
     ctx = _process_context(task["scale"], task["cache_dir"],
                            task["fingerprint"])
     kind, params = task["kind"], task["params"]
-    if kind == "dataset":
-        ctx.graph(params["dataset"])
-    elif kind == "partition":
-        ctx.partition(params["dataset"], params["algorithm"], params["k"])
-    elif kind == "bindings":
-        ctx.bindings(params["dataset"], params["kind"])
-    elif kind == "analytics":
-        ctx.analytics_run(params["dataset"], params["algorithm"],
-                          params["k"], params["workload"])
-    elif kind == "simulation":
-        ctx.simulation(params["dataset"], params["algorithm"], params["k"],
-                       params["kind"], clients_per_worker=params["clients"])
-    elif kind == "experiment":
+    if kind == "experiment":
         return (task["job_id"], *_execute_experiment(ctx, params["name"],
                                                      task["scale"]))
-    else:
+    if kind not in ARTIFACT_METHODS:
         raise OrchestratorError(f"unknown job kind {kind!r}")
+    ARTIFACT_METHODS[kind](ctx, **params)
     return (task["job_id"], None, None)
 
 

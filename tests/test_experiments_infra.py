@@ -96,7 +96,7 @@ class TestRunner:
 
     def test_online_partition_rejects_vertex_cut(self):
         ctx = ExperimentContext(scale="quick")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ctx.online_partition("usa-road", "hdrf", 4)
 
     def test_bindings_fixed_across_calls(self):
@@ -110,7 +110,7 @@ class TestRunner:
         assert ctx.make_workload("pagerank", "usa-road").name == "pagerank"
         assert ctx.make_workload("wcc", "usa-road").name == "wcc"
         assert ctx.make_workload("sssp", "usa-road").name == "sssp"
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ctx.make_workload("kcore", "usa-road")
 
     def test_analytics_run_cached(self):

@@ -241,12 +241,13 @@ class TestIngestSpecPipeline:
 class TestScaleSweepRegistration:
     def test_experiment_is_registered(self):
         from repro.experiments import EXPERIMENTS
-        from repro.orchestrator.dag import _REQUIREMENTS, build_plan
+        from repro.orchestrator.dag import build_plan
 
         assert "scale-sweep" in EXPERIMENTS
-        # No plannable prerequisites: it spills its own streams.
-        assert "scale-sweep" in _REQUIREMENTS
+        # Every cell of the sweep is a planned ingest job.
         plan = build_plan(["scale-sweep"], scale="quick")
-        job = next(job for job in plan.jobs.values()
-                   if job.params.get("name") == "scale-sweep")
-        assert job.deps == ()
+        assert plan.counts() == {"ingest": 8, "experiment": 1}
+        job = plan.jobs["experiment:scale-sweep"]
+        assert sorted(job.deps) == sorted(
+            job_id for job_id, planned in plan.jobs.items()
+            if planned.kind == "ingest")

@@ -20,6 +20,43 @@ from repro.orchestrator import (
 #: fast at the quick scale.
 NAMES = ["table4", "figure7", "ablation-fault-tolerance"]
 
+#: What an experiment job may compute itself, after its planned
+#: dependencies ran: only the artifacts whose parameters depend on another
+#: artifact's value — the straggler's degraded runs (the slowed worker is
+#: the healthy run's busiest) and the faulted PageRank runs (the crash
+#: time comes from the ECR run).
+RESULT_DEPENDENT = {"ablation-straggler": {"simulation": 4},
+                    "ablation-fault-tolerance": {"analytics": 4}}
+
+_COMPUTED = "orchestrator.computed."
+
+
+def experiment_job_computed(name: str, cache_dir) -> dict:
+    """``{kind: count}`` the experiment job of *name* recomputed itself.
+
+    Runs *name* serially on the fresh cache at *cache_dir*: its planned
+    dependencies first, the experiment job last.  The counter deltas of
+    that last job are what the plan failed to cover.
+    """
+    from repro.orchestrator import scheduler
+
+    scheduler.reset_process_state()
+    registry = telemetry.get_metrics()
+
+    def snapshot() -> dict:
+        return {n[len(_COMPUTED):]: registry.value(n)
+                for n in registry.names() if n.startswith(_COMPUTED)}
+
+    snapshots = [snapshot()]
+    run_experiments([name], scale="quick", jobs=1,
+                    cache=ArtifactCache(cache_dir, fingerprint="test-fp"),
+                    progress=lambda done, total, job_id:
+                    snapshots.append(snapshot()))
+    before, after = snapshots[-2], snapshots[-1]
+    return {kind: int(count - before.get(kind, 0))
+            for kind, count in after.items()
+            if count != before.get(kind, 0)}
+
 
 @pytest.fixture
 def metrics():
@@ -62,6 +99,15 @@ class TestPlan:
         plan = build_plan(list(EXPERIMENTS), "quick")
         for name in EXPERIMENTS:
             assert f"experiment:{name}" in plan.jobs
+
+    @pytest.mark.parametrize(
+        "name", [*NAMES, "ablation-straggler", "scale-sweep"])
+    def test_plan_covers_every_profile_only_artifact(self, name, tmp_path,
+                                                     metrics):
+        # Together these cover every artifact kind, faulted simulations
+        # and ingest runs included.
+        assert (experiment_job_computed(name, tmp_path / "cache")
+                == RESULT_DEPENDENT.get(name, {}))
 
     def test_missing_dependency_detected(self):
         graph = JobGraph()
