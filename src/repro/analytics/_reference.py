@@ -347,17 +347,3 @@ class ReferenceKCore(Workload):
                 changed=removing,
             )
         self._values = alive.copy()
-
-
-def reference_run_workload(graph: Graph, partition, workload: Workload, *,
-                           cost_model: CostModel = DEFAULT_COST_MODEL,
-                           fault_schedule: FaultSchedule | None = None,
-                           checkpoint_interval: int = 4,
-                           sampler=None) -> AnalyticsRun:
-    """One-shot convenience mirroring :func:`repro.analytics.run_workload`."""
-    placement = Placement(graph, partition)
-    return ReferenceGasEngine(cost_model).run(
-        graph, placement, workload,
-        fault_schedule=fault_schedule,
-        checkpoint_interval=checkpoint_interval,
-        sampler=sampler)

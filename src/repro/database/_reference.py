@@ -517,35 +517,3 @@ class ReferenceClosedLoopSimulation:
             requests_lost_per_worker=np.array(
                 [w.stats.requests_lost for w in workers], dtype=np.int64),
         )
-
-
-def reference_simulate_workload(graph: Graph, partition, bindings, *,
-                                clients_per_worker: int = 12,
-                                duration: float = 2.0,
-                                service_model: ServiceModel | None = None,
-                                fanout_limit: int | None = 64,
-                                worker_speeds=None,
-                                fault_schedule: FaultSchedule | None = None,
-                                retry_policy: RetryPolicy | None = None,
-                                k_safety: int = 2,
-                                raise_on_failure: bool = False,
-                                sampler=None,
-                                sample_interval: float | None = None,
-                                ) -> SimulationResult:
-    """One-shot wrapper around :class:`ReferenceClosedLoopSimulation`."""
-    assignment = getattr(partition, "assignment", partition)
-    num_workers = getattr(partition, "num_partitions",
-                          int(np.max(assignment)) + 1)
-    sim = ReferenceClosedLoopSimulation(
-        graph, assignment, num_workers,
-        clients_per_worker=clients_per_worker,
-        service_model=service_model,
-        fanout_limit=fanout_limit,
-        worker_speeds=worker_speeds,
-        fault_schedule=fault_schedule,
-        retry_policy=retry_policy,
-        k_safety=k_safety,
-        raise_on_failure=raise_on_failure,
-    )
-    return sim.run(bindings, duration=duration, sampler=sampler,
-                   sample_interval=sample_interval)

@@ -68,6 +68,12 @@ class EdgeStreamFile:
             footer = np.memmap(self.path, dtype="<u8", mode="r",
                                offset=footer_offset,
                                shape=(header.num_chunks,))
+            # Check on the unsigned values: an entry >= 2**63 would wrap
+            # negative in int64 and could still sum to num_edges.
+            if int(footer.max()) > header.num_edges:
+                raise IngestError(
+                    f"{self.path}: chunk table entry {int(footer.max())} "
+                    f"exceeds the header's {header.num_edges} edges")
             chunk_lengths = np.asarray(footer, dtype=np.int64)
             del footer
         else:
@@ -128,7 +134,9 @@ class EdgeStreamFile:
         further when *chunk_edges* is given (stored chunks are never
         merged, so a yielded chunk holds at most
         ``min(stored_length, chunk_edges)`` edges).  Edge ids are global
-        stream positions.
+        stream positions.  A vertex id outside ``[0, num_vertices)``
+        raises :class:`~repro.errors.IngestError` before its chunk is
+        yielded.
         """
         m = self.num_edges
         stop = m if stop is None else int(stop)
@@ -161,6 +169,12 @@ class EdgeStreamFile:
                               base + (piece_stop - c_start)]
                 dst = payload[base + length + (piece - c_start):
                               base + length + (piece_stop - c_start)]
+                top = max(int(src.max()), int(dst.max()))
+                if top >= self.num_vertices:
+                    raise IngestError(
+                        f"{self.path}: edges [{piece}, {piece_stop}) name "
+                        f"vertex id {top}, but the header declares "
+                        f"{self.num_vertices} vertices")
                 yield (np.arange(piece, piece_stop, dtype=np.int64),
                        src.astype(np.int64), dst.astype(np.int64))
 

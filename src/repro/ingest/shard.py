@@ -249,18 +249,24 @@ def _worker_loop(conn, path: str, num_vertices: int, num_edges: int,
                 global_sizes = message[1]
                 delta = np.zeros(config.num_partitions, dtype=np.int64)
                 live = 0
-                for runner in runners:
-                    contribution = runner.run_round(global_sizes)
-                    if contribution is not None:
-                        delta += contribution
-                    if not runner.exhausted():
-                        live += 1
+                try:
+                    for runner in runners:
+                        contribution = runner.run_round(global_sizes)
+                        if contribution is not None:
+                            delta += contribution
+                        if not runner.exhausted():
+                            live += 1
+                except IngestError as exc:
+                    conn.send(exc)  # the parent re-raises it
+                    return
                 conn.send((delta, live))
             elif message[0] == "collect":
                 conn.send([(runner.shard_index, runner.start, runner.stop,
                             runner.assignment, runner.stats())
                            for runner in runners])
                 return
+    except EOFError:
+        return  # the parent stopped the run (another worker failed)
     finally:
         conn.close()
 
@@ -317,7 +323,10 @@ def _run_parallel(path, num_vertices, num_edges, config, segments,
             live = 0
             delta = np.zeros(config.num_partitions, dtype=np.int64)
             for conn in pipes:
-                worker_delta, worker_live = conn.recv()
+                reply = conn.recv()
+                if isinstance(reply, IngestError):
+                    raise reply
+                worker_delta, worker_live = reply
                 delta += worker_delta
                 live += worker_live
             global_sizes += delta

@@ -49,45 +49,6 @@ _FACTORIES: dict[str, Callable[..., object]] = {
     "hg": GingerPartitioner,
 }
 
-#: Whether each factory accepts a ``seed=`` keyword (RNG tie-breaking).
-#: Hash-based algorithms are stateless and expose only ``hash_seed``;
-#: calling them with ``seed=`` is a caller error, not something to paper
-#: over with a retry.  The flag is validated against the constructor
-#: signatures at import time (see ``_validate_seed_flags``), so it cannot
-#: silently drift when an algorithm gains or loses its RNG.
-_ACCEPTS_SEED: dict[str, bool] = {
-    "ecr": False,
-    "ldg": True,
-    "fennel": True,
-    "re-ldg": True,
-    "re-fennel": True,
-    "iogp": False,
-    "leopard": False,
-    "mts": True,
-    "vcr": False,
-    "dbh": False,
-    "grid": True,
-    "greedy": True,
-    "hdrf": True,
-    "hcr": False,
-    "hg": True,
-}
-
-
-def _validate_seed_flags() -> None:
-    import inspect
-
-    for name, factory in _FACTORIES.items():
-        has_seed = "seed" in inspect.signature(factory).parameters
-        if has_seed != _ACCEPTS_SEED[name]:
-            raise ConfigurationError(
-                f"registry accepts_seed flag for {name!r} is "
-                f"{_ACCEPTS_SEED[name]} but the constructor "
-                f"{'has' if has_seed else 'lacks'} a seed parameter")
-
-
-_validate_seed_flags()
-
 #: Aliases used in the paper's figures.
 _ALIASES = {
     "fnl": "fennel",
@@ -139,8 +100,13 @@ def accepts_seed(name: str) -> bool:
     Callers that sweep "all algorithms" with one seed use this to drop
     the keyword for the stateless hash-based methods — explicitly, rather
     than by catching ``TypeError`` (which would also swallow a genuine
-    constructor bug)."""
-    return _ACCEPTS_SEED[canonical_name(name)]
+    constructor bug).  Hash-based algorithms are stateless and expose only
+    ``hash_seed``.  The answer is read off the constructor signature, so
+    it cannot drift when an algorithm gains or loses its RNG."""
+    import inspect
+
+    factory = _FACTORIES[canonical_name(name)]
+    return "seed" in inspect.signature(factory).parameters
 
 
 def make_partitioner(name: str, **kwargs):

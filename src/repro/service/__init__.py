@@ -27,16 +27,6 @@ from repro.service.migration import (
 )
 from repro.service.traffic import EpochTraffic, Mutation, TrafficModel
 
-#: Every telemetry span name the service may emit (reprolint RL106
-#: checks that emitted literals stay within this registry).
-SPAN_NAMES = (
-    "service.run",
-    "service.epoch",
-    "service.mutation",
-    "service.migration",
-    "service.shed",
-)
-
 __all__ = [
     "ServiceConfig",
     "PartitionedGraphService",
@@ -52,5 +42,4 @@ __all__ = [
     "EpochTraffic",
     "Mutation",
     "TrafficModel",
-    "SPAN_NAMES",
 ]

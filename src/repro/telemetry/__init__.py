@@ -41,12 +41,10 @@ from repro.telemetry.export import (
     to_openmetrics,
 )
 from repro.telemetry.metrics import (
-    METRIC_NAMES,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    registered_metric_name,
 )
 from repro.telemetry.profile import (
     build_tree,
@@ -84,8 +82,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "METRIC_NAMES",
-    "registered_metric_name",
     "MetricSample",
     "TimeSeriesSampler",
     "Slo",

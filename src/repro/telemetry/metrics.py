@@ -17,79 +17,6 @@ from __future__ import annotations
 
 from repro.metrics.runtime import DistributionSummary, summarize
 
-#: Every metric name the repo emits, in one place — the export schema.
-#: reprolint rule RL107 enforces the contract both ways: every literal
-#: name passed to ``counter()``/``gauge()``/``histogram()`` anywhere in
-#: ``repro`` must appear here, and every non-wildcard entry here must
-#: have at least one emitter.  Entries ending in ``.*`` cover dynamic
-#: f-string families (the orchestrator's cache outcome counters).
-#: Keep the tuple sorted; RL107 checks that too.
-METRIC_NAMES = (
-    "cache.*",
-    "db.migration.busy_seconds",
-    "db.migration.waits",
-    "db.network_bytes",
-    "db.queries.completed",
-    "db.queries.failed",
-    "db.query.latency_seconds",
-    "db.reads.remote",
-    "db.reads.total",
-    "db.requests.dropped",
-    "db.retries",
-    "db.timeouts",
-    "db.worker.busy_seconds",
-    "db.worker.vertices_read",
-    "gas.checkpoint_seconds_total",
-    "gas.checkpoints",
-    "gas.gather_messages",
-    "gas.machine.compute_seconds",
-    "gas.mirror_update_messages",
-    "gas.network_bytes",
-    "gas.recoveries",
-    "gas.reexecuted_supersteps",
-    "gas.supersteps",
-    "ingest.edges",
-    "ingest.peak_bytes",
-    "ingest.spilled_edges",
-    "ingest.sync_rounds",
-    "orchestrator.computed.*",
-    "orchestrator.job.wall_seconds",
-    "service.epoch.applied_mutations",
-    "service.epoch.completed_queries",
-    "service.epoch.drift",
-    "service.epoch.edge_cut",
-    "service.epoch.failed_queries",
-    "service.epoch.imbalance",
-    "service.epoch.mean_latency_ms",
-    "service.epoch.migration_waits",
-    "service.epoch.num_edges",
-    "service.epoch.num_vertices",
-    "service.epoch.offered_mutations",
-    "service.epoch.p99_latency_ms",
-    "service.epoch.pending_mutations",
-    "service.epoch.retries",
-    "service.epoch.shed_reads",
-    "service.epoch.shed_writes",
-    "service.epoch.timeouts",
-    "service.migration.bytes",
-    "service.migration.vertices",
-    "service.migrations",
-    "service.mutations.applied",
-    "service.queries.completed",
-    "service.queries.failed",
-    "service.shed.reads",
-    "service.shed.writes",
-)
-
-
-def registered_metric_name(name: str) -> bool:
-    """True when *name* is covered by :data:`METRIC_NAMES` (wildcards
-    match whole dotted prefixes: ``cache.*`` covers ``cache.hit.x``)."""
-    if name in METRIC_NAMES:
-        return True
-    return any(name.startswith(entry[:-1])
-               for entry in METRIC_NAMES if entry.endswith(".*"))
-
 
 class Counter:
     """A monotonically increasing named value."""

@@ -3,8 +3,8 @@
 The paper's methodology depends on bit-for-bit reproducible runs, and the
 repo enforces that contract by *convention*: everything stochastic draws
 randomness through :mod:`repro.rng`, simulated-time substrates never read
-the wall clock, and the partitioner registry's ``accepts_seed`` flags match
-the constructor signatures.  Conventions drift.  ``reprolint`` turns each
+the wall clock, and trace consumers only name spans that are emitted.
+Conventions drift.  ``reprolint`` turns each
 one into a static rule checked over the AST: per-file determinism rules
 (``RL0xx``), cross-module registry/contract rules (``RL1xx``) and
 whole-program dataflow rules over the project call graph (``RL2xx`` —

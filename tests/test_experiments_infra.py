@@ -121,15 +121,36 @@ class TestRunner:
 
 
 class TestSeedRegistry:
+    def test_every_algorithm_constructs_seeded(self):
+        """``make_seeded_partitioner`` builds all registered algorithms,
+        and each one whose constructor takes ``seed`` keeps it."""
+        from repro.partitioning import (
+            accepts_seed,
+            available_algorithms,
+            make_seeded_partitioner,
+        )
+
+        seeded = []
+        for name in available_algorithms():
+            partitioner = make_seeded_partitioner(name, 7)
+            if accepts_seed(name):
+                assert partitioner.seed == 7, name
+                seeded.append(name)
+        assert len(seeded) == 9, seeded
+
     def test_flags_match_constructor_signatures(self):
         import inspect
 
-        from repro.partitioning import accepts_seed, make_partitioner
+        from repro.partitioning import (
+            accepts_seed,
+            available_algorithms,
+            make_partitioner,
+        )
 
-        for name in ("ecr", "ldg", "fennel", "hdrf", "vcr", "mts"):
+        for name in available_algorithms():
             factory = type(make_partitioner(name))
             has_seed = "seed" in inspect.signature(factory).parameters
-            assert accepts_seed(name) == has_seed
+            assert accepts_seed(name) == has_seed, name
 
     def test_make_seeded_partitioner(self):
         from repro.partitioning import make_seeded_partitioner
@@ -149,11 +170,24 @@ class TestSeedRegistry:
             registry.make_seeded_partitioner("ldg", 7)
 
     def test_flag_drift_detected(self, monkeypatch):
+        """The flag is read off the constructor, so a constructor that
+        gains or loses ``seed`` changes ``accepts_seed`` with it."""
         from repro.partitioning import registry
 
-        monkeypatch.setitem(registry._ACCEPTS_SEED, "ecr", True)
-        with pytest.raises(ConfigurationError, match="accepts_seed"):
-            registry._validate_seed_flags()
+        class SeededEcr(registry.HashVertexPartitioner):
+            def __init__(self, hash_seed=0, seed=None):
+                super().__init__(hash_seed)
+                self.seed = seed
+
+        assert not registry.accepts_seed("ecr")
+        monkeypatch.setitem(registry._FACTORIES, "ecr", SeededEcr)
+        assert registry.accepts_seed("ecr")
+        assert registry.make_seeded_partitioner("ecr", 7).seed == 7
+
+        monkeypatch.setitem(registry._FACTORIES, "ldg",
+                            registry.HashVertexPartitioner)
+        assert not registry.accepts_seed("ldg")
+        registry.make_seeded_partitioner("ldg", 7)
 
 
 class TestCli:

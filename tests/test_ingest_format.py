@@ -176,6 +176,84 @@ class TestCorruption:
             EdgeStreamFile(path)
 
 
+class TestMalformedInput:
+    """Seeded malformed ``.redg`` files fail with ``IngestError`` (or a
+    nonzero CLI exit and a one-line message) on every read surface."""
+
+    NUM_VERTICES = 200
+    NUM_EDGES = 1000
+
+    def write(self, path, case):
+        from repro.rng import make_rng
+
+        rng = make_rng(16)
+        src = rng.integers(0, self.NUM_VERTICES, self.NUM_EDGES)
+        dst = rng.integers(0, self.NUM_VERTICES, self.NUM_EDGES)
+        if case == "out-of-range-id":
+            src[617] = self.NUM_VERTICES + 3
+        write_stream(path, [(src[:600], dst[:600]), (src[600:], dst[600:])],
+                     num_vertices=self.NUM_VERTICES)
+        raw = bytearray(path.read_bytes())
+        if case == "truncated":
+            del raw[-8:]
+        elif case == "bad-magic":
+            raw[:8] = b"NOTAREDG"
+        elif case == "wrong-version":
+            raw[8:12] = struct.pack("<I", FORMAT_VERSION + 1)
+        elif case == "wrapped-chunk-length":
+            # 2**64 - 5 wraps to -5 as int64; with num_edges + 5 the
+            # table still sums to num_edges.
+            raw[-16:] = struct.pack("<QQ", 2**64 - 5, self.NUM_EDGES + 5)
+        path.write_bytes(bytes(raw))
+        return path
+
+    CASES = ("truncated", "bad-magic", "wrong-version", "out-of-range-id",
+             "wrapped-chunk-length")
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_reader_raises(self, tmp_path, case):
+        path = self.write(tmp_path / "bad.redg", case)
+        with pytest.raises(IngestError):
+            list(EdgeStreamFile(path).iter_chunks())
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_hdrf_file_replay_raises(self, tmp_path, case):
+        from repro.partitioning.vertex_cut.hdrf import HdrfPartitioner
+
+        path = self.write(tmp_path / "bad.redg", case)
+        with pytest.raises(IngestError):
+            HdrfPartitioner(seed=1).partition_stream(
+                FileEdgeStream(path), 4, num_vertices=self.NUM_VERTICES,
+                num_edges=self.NUM_EDGES)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("verb", ["partition", "info"])
+    def test_cli_fails_with_message(self, tmp_path, capsys, case, verb):
+        from repro.experiments.cli import main
+
+        path = self.write(tmp_path / "bad.redg", case)
+        status = main(["ingest", verb, str(path)])
+        err = capsys.readouterr().err
+        if verb == "info" and case == "out-of-range-id":
+            # `info` reads the header and chunk table, not the payload.
+            assert status == 0
+            return
+        assert status == 1
+        assert err.startswith("error: ") and "bad.redg" in err
+        assert "Traceback" not in err
+
+    def test_parallel_partition_reports_worker_error(self, tmp_path, capsys):
+        """A worker process that hits a bad id hands the error back."""
+        from repro.experiments.cli import main
+
+        path = self.write(tmp_path / "bad.redg", "out-of-range-id")
+        status = main(["ingest", "partition", str(path), "--shards", "2",
+                       "--workers", "2"])
+        err = capsys.readouterr().err
+        assert status == 1
+        assert err.startswith("error: ") and "vertex id 203" in err
+
+
 class TestRangeIteration:
     @pytest.fixture()
     def stream_file(self, tmp_path):

@@ -24,7 +24,6 @@ from repro.errors import ConfigurationError
 from repro.graph.generators import ldbc_like
 from repro.service import PartitionedGraphService, ServiceConfig
 from repro.telemetry import (
-    METRIC_NAMES,
     AlertEvent,
     MetricsRegistry,
     MetricSample,
@@ -33,7 +32,6 @@ from repro.telemetry import (
     TimeSeriesSampler,
     default_service_slos,
     evaluate_slos,
-    registered_metric_name,
     samples_to_jsonl,
     to_openmetrics,
 )
@@ -59,6 +57,14 @@ FIRING_CONFIG = ServiceConfig(
 @pytest.fixture(scope="module")
 def base_graph():
     return ldbc_like(num_vertices=800, avg_degree=10.0, seed=11)
+
+
+def _sampled_names(result):
+    """Every metric name recorded in any sample of a service run."""
+    names = set()
+    for sample in result.samples:
+        names.update(sample.counters, sample.gauges, sample.histograms)
+    return names
 
 
 def _sample(index, *, time=None, counters=None, gauges=None,
@@ -241,13 +247,20 @@ class TestSloMath:
         with pytest.raises(ConfigurationError):
             SloEvaluator([_latency_slo()], horizon=0)
 
-    def test_default_service_slos_read_registered_metrics(self):
+    def test_default_service_slos_read_registered_metrics(self, base_graph):
+        # ``value(name)`` reads 0.0 for a name nobody emits, so a renamed
+        # emitter would leave an SLO silently flat: every metric the
+        # default SLOs read must be one a real service run samples.
+        result = PartitionedGraphService(base_graph,
+                                         config=FIRING_CONFIG).run()
+        consumed = set()
         for slo in default_service_slos():
-            for name in [slo.metric] + slo.total_metric.split("+"):
-                name = name.strip()
-                if not name:
-                    continue
-                assert registered_metric_name(name.split(":")[0]), name
+            consumed.add(slo.metric.split(":")[0])
+            consumed.update(name.strip()
+                            for name in slo.total_metric.split("+")
+                            if name.strip())
+        assert consumed
+        assert sorted(consumed - _sampled_names(result)) == []
 
 
 # ----------------------------------------------------------------------
@@ -331,12 +344,15 @@ class TestServiceIntegration:
         assert first.observability_digest() == second.observability_digest()
 
     def test_every_sampled_metric_is_registered(self, base_graph):
+        # The samples expose the run's metric registry in full: no name
+        # appears in a sample that the registry lacks, and none is lost.
         result = PartitionedGraphService(base_graph,
                                          config=FIRING_CONFIG).run()
         final = result.samples[-1]
-        for name in (list(final.counters) + list(final.gauges)
-                     + list(final.histograms)):
-            assert registered_metric_name(name), name
+        sampled = (list(final.counters) + list(final.gauges)
+                   + list(final.histograms))
+        assert sorted(sampled) == sorted(result.metrics.names())
+        assert _sampled_names(result) == set(result.metrics.names())
 
     def test_degradation_hook_tightens_admission(self, base_graph):
         # Starve the apply rate so the backlog SLO pages, then compare
@@ -455,12 +471,53 @@ class TestHealthCli:
 
 
 # ----------------------------------------------------------------------
-# The metric-name registry itself
+# Consumers read names that a real run emits
 # ----------------------------------------------------------------------
-class TestMetricNameRegistry:
-    def test_sorted_and_wildcardable(self):
-        assert list(METRIC_NAMES) == sorted(METRIC_NAMES)
-        assert registered_metric_name("cache.hits")
-        assert registered_metric_name("orchestrator.computed.partition")
-        assert registered_metric_name("db.timeouts")
-        assert not registered_metric_name("made.up.metric")
+class TestConsumersReadEmittedNames:
+    """``value(name)`` reads 0.0 for a name nobody emits, so a renamed
+    emitter would leave a dashboard row or an SLO silently flat.  Each
+    consumer's names are checked against what a real run records (the
+    default SLOs in ``TestSloMath``)."""
+
+    def test_dashboard_reads_sampled_names(self, base_graph):
+        from repro.tools.health_cli import DASHBOARD_SERIES
+
+        result = PartitionedGraphService(base_graph,
+                                         config=FIRING_CONFIG).run()
+        consumed = {metric for _, metric, _ in DASHBOARD_SERIES}
+        assert sorted(consumed - _sampled_names(result)) == []
+
+    def test_ingest_health_reads_emitted_names(self, tmp_path):
+        from repro import telemetry
+        from repro.graph.generators.rmat import rmat
+        from repro.ingest import ShardConfig, sharded_partition, \
+            spill_graph_edges
+        from repro.tools.health_cli import ingest_health
+
+        class ReadRecorder(MetricsRegistry):
+            def __init__(self):
+                super().__init__()
+                self.read = set()
+
+            def __contains__(self, name):
+                self.read.add(name)
+                return super().__contains__(name)
+
+            def value(self, name, default=0.0):
+                self.read.add(name)
+                return super().value(name, default)
+
+        registry = ReadRecorder()
+        previous = telemetry.set_metrics(registry)
+        try:
+            path = spill_graph_edges(rmat(7, 4.0, seed=3),
+                                     tmp_path / "g.redg", chunk_edges=97)
+            sharded_partition(path, ShardConfig(
+                algorithm="hdrf", num_partitions=4, seed=5, num_shards=2,
+                sync_interval=100))
+            health = ingest_health()
+        finally:
+            telemetry.set_metrics(previous)
+        assert health is not None
+        assert len(registry.read) == 4
+        assert sorted(registry.read - set(registry.names())) == []

@@ -104,6 +104,36 @@ class TestRegistry:
         p = make_partitioner("hdrf", balance_weight=2.5)
         assert p.balance_weight == 2.5
 
+    def test_every_streaming_partitioner_is_registered(self):
+        """Every public partitioner class in the edge-cut, vertex-cut and
+        hybrid packages is reachable by name through the registry."""
+        import importlib
+        import pkgutil
+
+        from repro.partitioning import edge_cut, hybrid, vertex_cut
+        from repro.partitioning.base import EdgePartitioner, VertexPartitioner
+        from repro.partitioning.registry import _FACTORIES
+
+        packages = (edge_cut, hybrid, vertex_cut)
+        for package in packages:
+            for info in pkgutil.iter_modules(package.__path__):
+                importlib.import_module(f"{package.__name__}.{info.name}")
+        prefixes = tuple(f"{package.__name__}." for package in packages)
+
+        found, stack = set(), [VertexPartitioner, EdgePartitioner]
+        while stack:
+            for sub in stack.pop().__subclasses__():
+                if sub not in found:
+                    found.add(sub)
+                    stack.append(sub)
+        in_scope = {cls for cls in found
+                    if cls.__module__.startswith(prefixes)
+                    and not cls.__name__.startswith("_")}
+        unregistered = sorted(cls.__qualname__ for cls in in_scope
+                              if cls not in set(_FACTORIES.values()))
+        assert unregistered == []
+        assert len(in_scope) == 14  # all registered algorithms but MTS
+
     def test_all_offline_algorithms_partition(self, small_twitter):
         for name in OFFLINE_ALGORITHMS:
             partitioner = make_partitioner(name)
