@@ -140,6 +140,35 @@ class TestDeterminism:
         assert one.digest() != four.digest()
 
 
+class TestPinnedOutput:
+    """Four-shard HDRF output and tracked footprint, pinned byte for byte.
+
+    The digests and ``peak_tracked_bytes`` were recorded before HDRF's
+    per-arrival scoring moved from numpy rows to plain lists; the
+    footprint feeds ``ingest.peak_bytes`` and the scale-sweep report, so
+    the state the core holds must not change size either.
+    """
+
+    @pytest.mark.parametrize("state,sketch,digest,peak_bytes", [
+        ("exact", {},
+         "1b40eab2c17e6e4ebf64f07c61b17c200a9fbbd6b81ecac4914e8435cb029fad",
+         114280),
+        ("sketch", {},
+         "1b40eab2c17e6e4ebf64f07c61b17c200a9fbbd6b81ecac4914e8435cb029fad",
+         2195048),
+        ("sketch", {"sketch_width": 256, "sketch_depth": 2},
+         "86e6afe16dfaf032b4cf49bc4da2db21051516c923bc713bdecae69d78438e3f",
+         114280),
+    ], ids=["exact", "sketch", "sketch-256x2"])
+    def test_four_shard_hdrf(self, spilled, state, sketch, digest,
+                             peak_bytes):
+        _, path = spilled
+        result = sharded_partition(path, config(state=state, **sketch))
+        assert result.config.num_shards == 4
+        assert result.digest() == digest
+        assert result.peak_tracked_bytes == peak_bytes
+
+
 class TestResultSurface:
     def test_complete_partition_and_sizes(self, spilled):
         _, path = spilled

@@ -10,6 +10,11 @@ Two guards enforce that here:
   from the pre-port implementations before the port landed);
 * live array equality against the reference loops, so the guard holds
   even if both sides of the digest file were ever regenerated together.
+
+Ginger (HG) and the multilevel baseline (MTS) have no scalar loop in
+``_reference``; their rows in the digest file (``PINNED_CONFIGS``) were
+generated before their decision loops were rewritten over arrays and
+plain lists, and are the only byte-identity guard those rewrites have.
 """
 
 import hashlib
@@ -59,6 +64,16 @@ CONFIGS = (
     ("dbh-partial", "dbh", {"degrees": "partial"}),
 )
 
+#: Digest-only rows (no reference loop).  ``mts-w`` balances on
+#: non-integer float vertex weights, as the workload-aware (Fig. 8) path
+#: does, so its loads depend on the order weights are accumulated in.
+PINNED_CONFIGS = (
+    ("hg", "hg", {}),
+    ("hg-t8", "hg", {"degree_threshold": 8}),
+    ("mts", "mts", {}),
+    ("mts-w", "mts", {}),
+)
+
 
 @pytest.fixture(scope="module")
 def golden_graphs():
@@ -73,6 +88,12 @@ def _digest(assignment: np.ndarray) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _float_vertex_weights(graph) -> np.ndarray:
+    """Seeded access-count-like weights with fractional parts."""
+    rng = np.random.default_rng(23)
+    return rng.gamma(1.5, 2.0, graph.num_vertices) + 0.25
+
+
 def _construct(factory_kwargs, algorithm, seed):
     kwargs = dict(factory_kwargs)
     if accepts_seed(algorithm):
@@ -84,7 +105,7 @@ class TestGoldenDigests:
     def test_matrix_is_complete(self):
         expected = {f"{g}/{label}/{o}/s{s}"
                     for g in ("twitter300", "ldbc250")
-                    for label, _, _ in CONFIGS
+                    for label, _, _ in CONFIGS + PINNED_CONFIGS
                     for o in ORDERS for s in SEEDS}
         assert set(GOLDEN) == expected
 
@@ -101,6 +122,24 @@ class TestGoldenDigests:
                     algorithm, **_construct(kwargs, algorithm, seed))
                 partition = partitioner.partition(graph, K,
                                                   order=order, seed=seed)
+                key = f"{graph_name}/{label}/{order}/s{seed}"
+                assert _digest(partition.assignment) == GOLDEN[key], key
+
+    @pytest.mark.parametrize("graph_name", ("twitter300", "ldbc250"))
+    @pytest.mark.parametrize("label,algorithm,kwargs", PINNED_CONFIGS,
+                             ids=[c[0] for c in PINNED_CONFIGS])
+    def test_pinned_partitioner_matches_golden_digest(
+            self, golden_graphs, graph_name, label, algorithm, kwargs):
+        """Ginger and MTS stay bit-identical to their pinned output."""
+        graph = golden_graphs[graph_name]
+        extra = ({"vertex_weights": _float_vertex_weights(graph)}
+                 if label == "mts-w" else {})
+        for order in ORDERS:
+            for seed in SEEDS:
+                partitioner = make_partitioner(
+                    algorithm, **_construct(kwargs, algorithm, seed))
+                partition = partitioner.partition(graph, K, order=order,
+                                                  seed=seed, **extra)
                 key = f"{graph_name}/{label}/{order}/s{seed}"
                 assert _digest(partition.assignment) == GOLDEN[key], key
 
