@@ -14,7 +14,9 @@ spreading hubs.
 
 On an edge stream Ginger therefore "works in two phases" (Section 4.3):
 we buffer arrivals, group them by target in first-arrival order, and run
-the greedy vertex pass over that order.
+the greedy vertex pass over that order.  Only that pass is sequential:
+every in-edge then takes its target's partition in one gather, and the
+high-degree in-edges are re-hashed in one vectorised call.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from repro.errors import ConfigurationError
 from repro.partitioning.base import (
     EdgePartition,
     EdgePartitioner,
-    argmax_with_ties,
     check_num_partitions,
-    iter_edge_arrivals,
+    edge_stream_arrays,
 )
 from repro.partitioning.hybrid.hybrid_hash import DEFAULT_DEGREE_THRESHOLD
+from repro.partitioning.kernels import argmax_tie_least_loaded
 from repro.rng import SeededHash, make_rng
 
 
@@ -71,57 +73,57 @@ class GingerPartitioner(EdgePartitioner):
         edge_scale = num_vertices / max(num_edges, 1)
 
         # Buffer the stream grouped by target, keeping first-arrival order
-        # of targets (the two-phase behaviour the paper describes).
-        order: list[int] = []
-        in_edges: dict[int, list[tuple[int, int]]] = {}
-        for edge_id, src, dst in iter_edge_arrivals(stream):
-            bucket = in_edges.get(dst)
-            if bucket is None:
-                bucket = in_edges[dst] = []
-                order.append(dst)
-            bucket.append((edge_id, src))
+        # of targets (the two-phase behaviour the paper describes): sort
+        # the edges stably by where their target first arrived.
+        edge_ids, sources, targets = edge_stream_arrays(stream)
+        unique_targets, first_arrival, inverse = np.unique(
+            targets, return_index=True, return_inverse=True)
+        by_arrival = np.argsort(first_arrival)
+        in_degree = np.bincount(inverse, minlength=unique_targets.size)
+        bounds = np.concatenate(([0], np.cumsum(in_degree[by_arrival])
+                                 )).tolist()
+        grouped_sources = sources[np.argsort(first_arrival[inverse],
+                                             kind="stable")].tolist()
 
-        assignment = np.full(num_edges, -1, dtype=np.int32)
-        vertex_part = np.full(num_vertices, -1, dtype=np.int32)
-        vertex_sizes = np.zeros(k, dtype=np.int64)
-        edge_sizes = np.zeros(k, dtype=np.int64)
-
-        # Phase 1: FENNEL-like greedy per target vertex.
-        for v in order:
-            bucket = in_edges[v]
-            neighbor_parts = vertex_part[[src for _, src in bucket]]
-            neighbor_parts = neighbor_parts[neighbor_parts >= 0]
-            if neighbor_parts.size:
-                counts = np.bincount(neighbor_parts, minlength=k).astype(np.float64)
-            else:
-                counts = np.zeros(k, dtype=np.float64)
-            balance = coefficient * 0.5 * (vertex_sizes + edge_scale * edge_sizes)
-            scores = counts - balance
-            target = argmax_with_ties(scores, tie_break=edge_sizes, rng=rng)
+        # Phase 1: FENNEL-like greedy per target vertex.  The balance term
+        # of a partition changes only when it gains a vertex, so it is
+        # kept per partition and recomputed for the winner alone.
+        vertex_part = [-1] * num_vertices
+        vertex_sizes = [0] * k
+        edge_sizes = [0] * k
+        half_c = coefficient * 0.5
+        balance = [0.0] * k
+        for rank, v in enumerate(unique_targets[by_arrival].tolist()):
+            lo, hi = bounds[rank], bounds[rank + 1]
+            counts = [0] * k
+            for src in grouped_sources[lo:hi]:
+                part = vertex_part[src]
+                if part >= 0:
+                    counts[part] += 1
+            scores = [c - b for c, b in zip(counts, balance)]
+            target = argmax_tie_least_loaded(scores, edge_sizes, rng)
             vertex_part[v] = target
             vertex_sizes[target] += 1
-            for edge_id, _src in bucket:
-                assignment[edge_id] = target
-            edge_sizes[target] += len(bucket)
+            edge_sizes[target] += hi - lo
+            balance[target] = half_c * (vertex_sizes[target]
+                                        + edge_scale * edge_sizes[target])
 
         # Vertices that only appear as sources still need a home (they own
         # no in-edges): place them greedily on the least-loaded partition.
-        for v in np.flatnonzero(vertex_part < 0):
-            target = int(np.argmin(vertex_sizes))
-            vertex_part[v] = target
-            vertex_sizes[target] += 1
+        for v in range(num_vertices):
+            if vertex_part[v] < 0:
+                target = vertex_sizes.index(min(vertex_sizes))
+                vertex_part[v] = target
+                vertex_sizes[target] += 1
+        masters = np.array(vertex_part, dtype=np.int32)
 
-        # Phase 2: spread the in-edges of high-degree vertices by source.
-        for v in order:
-            bucket = in_edges[v]
-            if len(bucket) <= self.degree_threshold:
-                continue
-            old = vertex_part[v]
-            for edge_id, src in bucket:
-                new = hasher(src)
-                assignment[edge_id] = new
-                edge_sizes[old] -= 1
-                edge_sizes[new] += 1
+        # Every in-edge follows its target's master ...
+        assignment = np.full(num_edges, -1, dtype=np.int32)
+        assignment[edge_ids] = masters[targets]
+        # ... except that Phase 2 spreads the in-edges of high-degree
+        # vertices by hashing their source.
+        spread = in_degree[inverse] > self.degree_threshold
+        assignment[edge_ids[spread]] = hasher(sources[spread])
 
         return EdgePartition(k, assignment, algorithm=self.name,
-                             masters=vertex_part)
+                             masters=masters)

@@ -24,9 +24,11 @@ PowerGraph-greedy):
   sequential vertex-cut loops convert numpy → Python scalars one block
   at a time instead of materialising three stream-length lists;
 * :func:`argmax_tie_least_loaded` / :func:`argmin_with_ties_inline` —
-  allocation-light tie-breaking, bit-identical (including RNG
-  consumption) to :func:`repro.partitioning.base.argmax_with_ties` with
-  a least-loaded tie break and :func:`repro.partitioning.base.argmin_with_ties`.
+  allocation-light tie-breaking over arrays or plain lists, bit-identical
+  (including RNG consumption) to
+  :func:`repro.partitioning.base.argmax_with_ties` with a least-loaded
+  tie break and :func:`repro.partitioning.base.argmin_with_ties`; the one
+  tie rule LDG, FENNEL, HDRF and Ginger share.
 
 Every kernel is a pure performance change: the golden-digest equivalence
 suite (``tests/test_partitioning_kernels.py``) asserts that ported
@@ -192,7 +194,7 @@ def streaming_partial_degrees(
 # Tie-breaking (bit-identical to the base helpers, fewer allocations)
 # ----------------------------------------------------------------------
 def argmax_tie_least_loaded(
-    scores: np.ndarray, sizes: np.ndarray,
+    scores: np.ndarray | list, sizes: np.ndarray | list,
     rng: np.random.Generator | None,
 ) -> int:
     """Index of the max score; ties to the least-loaded partition, then RNG.
@@ -203,9 +205,11 @@ def argmax_tie_least_loaded(
     experiments, one ``tolist`` plus a scalar loop is several times
     cheaper than the ``max``/``flatnonzero``/fancy-index sequence, and
     scalar float comparison is the same IEEE-754 comparison numpy
-    performs elementwise.
+    performs elementwise.  Both arguments may already be plain lists, as
+    in the list-based Ginger and HDRF loops (HDRF calls this only on a
+    real tie).
     """
-    values = scores.tolist()
+    values = scores.tolist() if isinstance(scores, np.ndarray) else scores
     best = values[0]
     ties = [0]
     for i in range(1, len(values)):
@@ -217,7 +221,7 @@ def argmax_tie_least_loaded(
             ties.append(i)
     if len(ties) == 1:
         return ties[0]
-    loads = sizes.tolist()
+    loads = sizes.tolist() if isinstance(sizes, np.ndarray) else sizes
     lightest = min(loads[i] for i in ties)
     ties = [i for i in ties if loads[i] == lightest]
     if len(ties) == 1 or rng is None:

@@ -90,25 +90,27 @@ def _heavy_edge_matching(level: _Level, rng,
     satisfiable at the coarsest level.
     """
     n = level.num_vertices
-    match = np.full(n, -1, dtype=np.int64)
-    visit = rng.permutation(n)
-    indptr, indices, weights = level.indptr, level.indices, level.weights
-    vweights = level.vweights
-    for u in visit.tolist():
+    match = [-1] * n
+    indptr = level.indptr.tolist()
+    indices = level.indices.tolist()
+    weights = level.weights.tolist()
+    vweights = level.vweights.tolist()
+    for u in rng.permutation(n).tolist():
         if match[u] != -1:
             continue
         best, best_w = -1, -1.0
-        for pos in range(indptr[u], indptr[u + 1]):
-            v = indices[pos]
-            if (match[v] == -1 and v != u and weights[pos] > best_w
-                    and vweights[u] + vweights[v] <= max_vertex_weight):
-                best, best_w = v, weights[pos]
+        weight_u = vweights[u]
+        lo, hi = indptr[u], indptr[u + 1]
+        for v, w in zip(indices[lo:hi], weights[lo:hi]):
+            if (match[v] == -1 and v != u and w > best_w
+                    and weight_u + vweights[v] <= max_vertex_weight):
+                best, best_w = v, w
         if best >= 0:
             match[u] = best
             match[best] = u
         else:
             match[u] = u
-    return match
+    return np.array(match, dtype=np.int64)
 
 
 def _max_coarse_weight(level: _Level, k: int) -> float:
@@ -174,38 +176,53 @@ def _initial_partition(level: _Level, k: int, capacity: float, rng) -> np.ndarra
 
 def _refine(level: _Level, assignment: np.ndarray, k: int, capacity: float,
             rng, passes: int = _REFINE_PASSES) -> np.ndarray:
-    """Gain-driven boundary moves (lightweight FM) under the balance cap."""
-    indptr, indices, weights = level.indptr, level.indices, level.weights
-    vweights = level.vweights
-    loads = np.bincount(assignment, weights=vweights, minlength=k).astype(np.float64)
+    """Gain-driven boundary moves (lightweight FM) under the balance cap.
+
+    A vertex moves to the feasible partition with the largest positive
+    gain ``w(u, P_i) - w(u, P_current)``, the lowest index on a tie.  Only
+    partitions holding a neighbour are scored: any other has gain
+    ``-w(u, P_current) <= 0`` and can never win a move.
+    """
+    indptr = level.indptr.tolist()
+    indices = level.indices.tolist()
+    weights = level.weights.tolist()
+    vweights = level.vweights.tolist()
+    loads = np.bincount(assignment, weights=level.vweights,
+                        minlength=k).tolist()
+    owner = np.repeat(np.arange(level.num_vertices), np.diff(level.indptr))
 
     for _pass in range(passes):
         moved = 0
         # Boundary vertices only: any vertex with a neighbour elsewhere.
-        neighbor_parts = assignment[indices]
-        owner = np.repeat(np.arange(level.num_vertices), np.diff(indptr))
+        neighbor_parts = assignment[level.indices]
         boundary = np.unique(owner[neighbor_parts != assignment[owner]])
         if boundary.size == 0:
             break
+        parts = assignment.tolist()
         for u in rng.permutation(boundary).tolist():
-            current = assignment[u]
+            current = parts[u]
             lo, hi = indptr[u], indptr[u + 1]
-            parts = assignment[indices[lo:hi]]
-            gain_to = np.zeros(k, dtype=np.float64)
-            np.add.at(gain_to, parts, weights[lo:hi])
-            internal = gain_to[current]
-            gain_to -= internal
-            gain_to[current] = 0.0
-            # Feasible targets: balance respected after the move.
-            feasible = loads + vweights[u] <= capacity
-            feasible[current] = False
-            candidate_gain = np.where(feasible, gain_to, -np.inf)
-            best = int(np.argmax(candidate_gain))
-            if candidate_gain[best] > 0:
-                assignment[u] = best
-                loads[current] -= vweights[u]
-                loads[best] += vweights[u]
+            # Edge weight from u into each neighbouring partition, summed
+            # in CSR order.
+            connection = {}
+            for v, w in zip(indices[lo:hi], weights[lo:hi]):
+                part = parts[v]
+                connection[part] = connection.get(part, 0.0) + w
+            internal = connection.get(current, 0.0)
+            weight_u = vweights[u]
+            best, best_gain = -1, 0.0
+            for part, external in connection.items():
+                gain = external - internal
+                if (part != current and loads[part] + weight_u <= capacity
+                        and (gain > best_gain
+                             or (gain == best_gain and part < best))):
+                    best, best_gain = part, gain
+            if best >= 0:
+                parts[u] = best
+                loads[current] -= weight_u
+                loads[best] += weight_u
                 moved += 1
+        assignment[:] = parts
         if moved == 0:
             break
     return assignment

@@ -22,6 +22,8 @@ segment with periodic load-vector rebasing.
 
 from __future__ import annotations
 
+from itertools import compress
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -52,6 +54,10 @@ class HdrfCore:
     and the degree state.  ``rebase_sizes`` re-anchors the load vector on
     an externally synced snapshot, which is how the sharded ingest
     driver shares (stale) load information between stream segments.
+
+    The replica sets are one ``(n, k)`` bool matrix, a view of the
+    ``bytearray`` the scoring loop slices an endpoint's row from, so
+    reading it costs one slice rather than a numpy dispatch.
     """
 
     algorithm = "hdrf"
@@ -63,14 +69,14 @@ class HdrfCore:
         self.rng = rng
         self.degrees = degrees
         self.sizes = np.zeros(self.k, dtype=np.int64)
-        self.replicas = np.zeros((int(num_vertices), self.k), dtype=bool)
+        self._replica_bytes = bytearray(int(num_vertices) * self.k)
+        self.replicas = np.frombuffer(self._replica_bytes, dtype=bool
+                                      ).reshape(int(num_vertices), self.k)
         self.balance_weight = float(balance_weight)
         self.balance_step = float(balance_weight) / float(capacity)
         # The balance term only changes for the partition that last
         # gained an edge, so it is maintained incrementally.
         self.balance = np.full(self.k, self.balance_weight, dtype=np.float64)
-        self._scores = np.empty(self.k, dtype=np.float64)
-        self._g_other = np.empty(self.k, dtype=np.float64)
         self._tracer = tracer
         self._trace_every = (tracer.decision_sample_every
                              if tracer is not None and tracer.enabled else 0)
@@ -84,45 +90,72 @@ class HdrfCore:
         self.balance += self.balance_weight
 
     def state_nbytes(self) -> int:
-        """Bytes of partitioner state held (the bounded-memory claim)."""
+        """Bytes of partitioner state held (the bounded-memory claim).
+
+        Counted as packed arrays: the replica matrix, the degree state,
+        the loads, the balance term and two k-wide float64 rows for the
+        arrival being scored (its replica gains and its scores).
+        """
         return int(self.sizes.nbytes + self.replicas.nbytes +
-                   self.balance.nbytes + self._scores.nbytes +
-                   self._g_other.nbytes + self.degrees.nbytes)
+                   self.balance.nbytes + 2 * self.k * 8 +
+                   self.degrees.nbytes)
 
     def process_chunk(self, edge_ids: np.ndarray, src_arr: np.ndarray,
                       dst_arr: np.ndarray, assignment: np.ndarray) -> None:
         """Place one chunk of arrivals, writing ``assignment[edge_id]``."""
         d_u, d_v = self.degrees.push(src_arr, dst_arr)
         thetas = d_u / (d_u + d_v)
-        replicas = self.replicas
-        sizes = self.sizes
-        balance = self.balance
-        scores = self._scores
-        g_other = self._g_other
+        k = self.k
+        partitions = range(k)
+        rows = self._replica_bytes
+        # Loads and balance are scanned as lists for the chunk and
+        # written back before returning.
+        sizes = self.sizes.tolist()
+        balance = self.balance.tolist()
+        step = self.balance_step
+        rng = self.rng
         trace_every = self._trace_every
+        choices = []
         for edge_id, src, dst, theta_u in zip_chunked(edge_ids, src_arr,
                                                       dst_arr, thetas):
-            # Fused g(u,·) + g(v,·) + balance into preallocated buffers.
-            np.multiply(replicas[src], 2.0 - theta_u, out=scores)
-            np.multiply(replicas[dst], 1.0 + theta_u, out=g_other)
-            scores += g_other                           # 1 + (1 - θ(·))
-            scores += balance
-            choice = argmax_tie_least_loaded(scores, sizes, self.rng)
+            u_row = src * k
+            v_row = dst * k
+            # One byte per partition saying which endpoints it already
+            # holds: bit 0 for u, bit 1 for v (no carries between bytes).
+            held = (int.from_bytes(rows[u_row:u_row + k], "little")
+                    + (int.from_bytes(rows[v_row:v_row + k], "little") << 1)
+                    ).to_bytes(k, "little")
+            g_u = 2.0 - theta_u                         # 1 + (1 - θ(u))
+            g_v = 1.0 + theta_u                         # 1 + (1 - θ(v))
+            # (g(u, P_i) + g(v, P_i)) + balance_i, as numpy summed it.  A
+            # partition holding neither endpoint scores 0.0 + balance_i,
+            # which is balance_i itself (the balance is never -0.0).
+            gains = (0.0, g_u, g_v, g_u + g_v)
+            scores = balance[:]
+            for part in compress(partitions, held):
+                scores[part] = gains[held[part]] + balance[part]
+            best = max(scores)
+            ties = scores.count(best)
+            if ties == 1:
+                choice = scores.index(best)
+            else:
+                choice = argmax_tie_least_loaded(scores, sizes, rng)
             if trace_every:
                 if self._decision % trace_every == 0:
                     self._tracer.point(
                         "sgp.decision", float(self._decision),
-                        algorithm=self.algorithm, edge=int(edge_id),
-                        src=int(src), dst=int(dst), chosen=int(choice),
-                        ties=int(np.count_nonzero(scores == scores.max())),
-                        scores=[float(s) for s in scores],
-                        state_size=int(np.count_nonzero(replicas)))
+                        algorithm=self.algorithm, edge=edge_id,
+                        src=src, dst=dst, chosen=choice, ties=ties,
+                        scores=scores, state_size=rows.count(1))
                 self._decision += 1
-            assignment[edge_id] = choice
+            choices.append(choice)
             sizes[choice] += 1
-            balance[choice] -= self.balance_step
-            replicas[src, choice] = True
-            replicas[dst, choice] = True
+            balance[choice] -= step
+            rows[u_row + choice] = 1
+            rows[v_row + choice] = 1
+        assignment[edge_ids] = choices
+        self.sizes[:] = sizes
+        self.balance[:] = balance
 
 
 class HdrfPartitioner(EdgePartitioner):
